@@ -5,14 +5,26 @@ with 17 significant digits so every finite double survives a write/read round
 trip bit-exactly.  Selection files carry a fixed header
 ``rank,location,row_indices`` with one line per sensor in selection order;
 ``row_indices`` is a semicolon-joined list of stacked row indices.
+
+``read_matrix`` first parses the whole file with one ``np.loadtxt`` call and
+keeps the result only when it is non-empty and entirely finite.  Anything else
+(a loadtxt error, no rows, NaN or Inf) re-reads the file with the line-by-line
+parser ``_read_matrix_lines``, which alone decides what is rejected and which
+line and column a ``MatrixParseError`` names.  Both paths convert each field
+to the correctly rounded double, so a file yields bit-identical values
+whichever path reads it.  ``write_matrix``
+formats the whole matrix with one ``%``-substitution whose output is
+byte-identical to formatting each element with ``f"{x:.17g}"``.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
+from . import linalg
 from .selection import SensorSelection
 
 __all__ = [
@@ -44,20 +56,50 @@ class SelectionParseError(ValueError):
 
 
 def write_matrix(path, matrix) -> None:
-    """Write a matrix as bare CSV with full round-trip precision."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    """Write a matrix as bare CSV with full round-trip precision.
+
+    Raises ``ValueError`` on NaN or Inf entries, which ``read_matrix`` refuses.
+    """
+    m = linalg.as_matrix(np.atleast_2d(matrix))
+    rows, cols = m.shape
+    template = ",".join(["%.17g"] * cols) + "\n"
+    text = (template * rows) % tuple(m.ravel().tolist())
     with open(path, "w", encoding="utf-8") as handle:
-        for row in m:
-            handle.write(",".join(f"{x:.17g}" for x in row))
-            handle.write("\n")
+        handle.write(text)
 
 
 def read_matrix(path, header: bool = False) -> np.ndarray:
     """Read a CSV matrix file.
 
     Every line must have the same number of fields and every field must parse
-    as a finite real; ``header=True`` skips the first line.
+    as a finite real; blank lines are skipped and ``header=True`` skips the
+    first line.
     """
+    try:
+        with warnings.catch_warnings():
+            # Empty and header-only files are rejected by the fallback below.
+            warnings.filterwarnings(
+                "ignore", message="loadtxt: input contained no data", category=UserWarning
+            )
+            m = np.loadtxt(
+                path,
+                delimiter=",",
+                dtype=np.float64,
+                ndmin=2,
+                skiprows=int(header),
+                comments=None,
+                encoding="utf-8",
+            )
+    except ValueError:
+        pass
+    else:
+        if m.size and np.isfinite(m).all():
+            return m
+    return _read_matrix_lines(path, header)
+
+
+def _read_matrix_lines(path, header: bool) -> np.ndarray:
+    """Line-by-line parser behind ``read_matrix``; names the first bad field."""
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as handle:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DEGENERATE_RTOL",
@@ -152,6 +151,9 @@ def log_abs_det(m) -> float:
         If some pivot is negligible relative to the matrix scale; the failing
         elimination step is reported on the exception.
     """
+    # SciPy is imported here, its only use, so loading the package stays cheap.
+    import scipy.linalg
+
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")

@@ -87,3 +87,45 @@ def exhaustive_step_argmax(
         if val > best_val:
             best_loc, best_val = loc, val
     return best_loc, best_val
+
+
+def read_matrix_lines(path, header: bool = False):
+    """Reference CSV matrix reader: the plain line-by-line parser.
+
+    Returns ``("ok", array)`` or ``("error", line, column, message)`` where
+    ``message`` is the text a ``MatrixParseError`` carries before its
+    ``(line ...)`` suffix.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = list(handle)
+    start = 1 if header else 0
+    rows = []
+    for lineno in range(start + 1, len(lines) + 1):
+        text = lines[lineno - 1].strip()
+        if text == "":
+            continue
+        tokens = text.split(",")
+        if rows and len(tokens) != len(rows[0]):
+            return ("error", lineno, None, f"expected {len(rows[0])} fields, found {len(tokens)}")
+        values = []
+        for colno in range(1, len(tokens) + 1):
+            token = tokens[colno - 1]
+            try:
+                value = float(token)
+            except ValueError:
+                return ("error", lineno, colno, f"field {token!r} is not a number")
+            if value != value or value in (float("inf"), float("-inf")):
+                return ("error", lineno, colno, f"field {token!r} is not finite")
+            values.append(value)
+        rows.append(values)
+    if not rows:
+        return ("error", 1, None, "file contains no data rows")
+    return ("ok", np.array(rows, dtype=np.float64))
+
+
+def write_matrix_lines(path, matrix) -> None:
+    """Reference CSV matrix writer: one f-string per element, one row per line."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in m:
+            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")

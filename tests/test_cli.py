@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sensorplace
 from sensorplace import cli, fileio
 from sensorplace.evaluate import build_model, observe, reconstruct
 from sensorplace.experiments import generate_synthetic_flow
@@ -245,3 +251,12 @@ class TestBenchmarkCommand:
     def test_missing_base_seed_exits_4(self, tmp_path):
         cfg = self.config(tmp_path, "r_values = 4\n")
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 4
+
+
+def test_loading_the_cli_does_not_import_scipy():
+    src = str(Path(sensorplace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sensorplace.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

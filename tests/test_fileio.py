@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import read_matrix_lines, write_matrix_lines
+from sensorplace import fileio
 from sensorplace.fileio import (
     MatrixParseError,
     SelectionParseError,
@@ -60,6 +65,184 @@ class TestMatrixFiles:
         path.write_text("")
         with pytest.raises(MatrixParseError):
             read_matrix(path)
+
+
+# Awkward doubles: smallest subnormals, the smallest normal, signed zeros,
+# magnitudes near the exponent limits and a value with a long expansion.
+AWKWARD = [5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e300, 1.0 / 3.0]
+LOSSLESS_FORMATS = [repr, "{:.17g}".format, "{:+.17g}".format, "{:.16e}".format, "{:.16E}".format]
+PADDING = ["", " ", "\t", "  "]
+FILLER_LINES = ["", " ", "\t ", "   "]
+BAD_TOKENS = ["oops", "nan", "NaN", "inf", "-inf", "infinity", "1e400", "", "1_000", "\uff11\uff12", "#"]
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def finite_matrices(elements=FINITE):
+    return arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                  elements=elements)
+
+
+settings_for_files = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def assert_matches_reference(path, header):
+    """``read_matrix`` returns the reference's bits or raises its exact error."""
+    expected = read_matrix_lines(path, header)
+    if expected[0] == "ok":
+        got = read_matrix(path, header=header)
+        assert got.dtype == np.float64
+        assert got.shape == expected[1].shape
+        assert np.array_equal(got.view(np.uint64), expected[1].view(np.uint64))
+        return got
+    _, line, column, message = expected
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix(path, header=header)
+    assert (info.value.line, info.value.column) == (line, column)
+    where = f"line {line}" if column is None else f"line {line}, column {column}"
+    assert str(info.value) == f"{message} ({where})"
+    return None
+
+
+@st.composite
+def csv_rows(draw):
+    """A valid matrix and its CSV data lines, each field written losslessly."""
+    m = draw(finite_matrices(st.one_of(FINITE, st.sampled_from(AWKWARD))))
+    lines = []
+    for row in m:
+        fields = []
+        for x in row:
+            fmt = draw(st.sampled_from(LOSSLESS_FORMATS))
+            fields.append(draw(st.sampled_from(PADDING)) + fmt(float(x))
+                          + draw(st.sampled_from(PADDING)))
+        lines.append(",".join(fields))
+    return m, lines
+
+
+@st.composite
+def csv_layout(draw, lines):
+    """Join data lines with a header, filler lines and a line ending."""
+    header = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    out = [draw(st.sampled_from(["c0,c1", "0", "1,2", ""]))] if header else []
+    for line in lines:
+        out.extend(draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2)))
+        out.append(line)
+    trailing = eol if draw(st.booleans()) else ""
+    return eol.join(out) + trailing, header
+
+
+class TestReadMatrixAgainstLineParser:
+    @settings_for_files
+    @given(data=st.data())
+    def test_valid_files_read_bit_exactly(self, tmp_path, data):
+        m, lines = data.draw(csv_rows())
+        text, header = data.draw(csv_layout(lines))
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = assert_matches_reference(path, header)
+        assert got is not None
+        assert np.array_equal(got.view(np.uint64), m.view(np.uint64))
+
+    @settings_for_files
+    @given(data=st.data())
+    def test_malformed_files_raise_the_reference_error(self, tmp_path, data):
+        _, lines = data.draw(csv_rows())
+        i = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        defect = data.draw(st.sampled_from(["token", "extra", "missing", "comma", "comment"]))
+        if defect == "token":
+            j = data.draw(st.integers(0, len(fields) - 1))
+            fields[j] = data.draw(st.sampled_from(BAD_TOKENS))
+            lines[i] = ",".join(fields)
+        elif defect == "extra":
+            lines[i] += ",1"
+        elif defect == "missing":
+            lines[i] = ",".join(fields[:-1])
+        elif defect == "comma":
+            lines[i] += ","
+        else:
+            lines.insert(i, "# comment")
+        text, header = data.draw(csv_layout(lines))
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_matches_reference(path, header)
+
+    @settings_for_files
+    @given(text=st.text(alphabet="0123456789.,-+eE _#nafiINF\t\r\n\uff11", max_size=60),
+           header=st.booleans())
+    def test_arbitrary_text_matches_reference(self, tmp_path, text, header):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_matches_reference(path, header)
+
+    @pytest.mark.parametrize("text, header", [
+        ("", False),
+        ("", True),
+        ("a,b\n", True),
+        ("\n  \n\t\n", False),
+        ("1,2\n3\n", False),
+        ("1,2\n3,oops\n", False),
+        ("1,nan\n", False),
+        ("1,inf\n", False),
+        ("1,Infinity\n", False),
+        ("# note\n1,2\n", False),
+        ("1,2,\n", False),
+        ("1_000,2\n", False),
+        ("\uff11,2\n", False),
+        ("1,2\r\n \r\n3,4\r\n", False),
+        ("x\n1\n2\n", True),
+    ])
+    def test_edge_cases_match_reference(self, tmp_path, text, header):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_matches_reference(path, header)
+
+    def test_plain_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+
+        def fail(*args):
+            raise AssertionError("fallback parser used on a plain file")
+
+        monkeypatch.setattr(fileio, "_read_matrix_lines", fail)
+        np.testing.assert_array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestWriteMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError):
+            write_matrix(path, [[1.0, bad]])
+        assert not path.exists()
+
+    def test_bytes_match_per_element_formatting(self, tmp_path):
+        rng = np.random.default_rng(80)
+        m = rng.standard_normal((7, 5))
+        m[0, 0] = 1e-300
+        m[1, 1] = -1e300
+        m[2, 2] = -0.0
+        m[3, 3] = 1.0 / 3.0
+        m[4, 4] = 5e-324
+        write_matrix(tmp_path / "new.csv", m)
+        write_matrix_lines(tmp_path / "ref.csv", m)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings_for_files
+    @given(m=finite_matrices())
+    def test_bytes_match_per_element_formatting_for_any_finite_matrix(self, tmp_path, m):
+        write_matrix(tmp_path / "new.csv", m)
+        write_matrix_lines(tmp_path / "ref.csv", m)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_vector_written_as_one_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(path, [1.0, 2.5])
+        assert path.read_text() == "1,2.5\n"
 
 
 class TestSelectionFiles:
