@@ -23,16 +23,7 @@ from .experiments import (
     run_random_benchmark,
     run_reconstruction_study,
 )
-from .linalg import (
-    DegenerateDirectionError,
-    NonConvergenceError,
-    SingularMatrixError,
-    deflate,
-    log_abs_det,
-    row_norm_sq,
-    solve_least_squares,
-    thin_svd,
-)
+from .linalg import NonConvergenceError, SingularMatrixError, log_abs_det, thin_svd
 from .pod import PODBasis, SnapshotMatrix, component_block, compute_pod, mode_amplitudes
 from .selection import (
     METHOD_CONVEX,
@@ -54,13 +45,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DegenerateDirectionError",
     "NonConvergenceError",
     "SingularMatrixError",
-    "deflate",
     "log_abs_det",
-    "row_norm_sq",
-    "solve_least_squares",
     "thin_svd",
     "PODBasis",
     "SnapshotMatrix",

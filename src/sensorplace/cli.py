@@ -17,6 +17,10 @@ from .evaluate import build_model, reconstruct, reconstruction_error
 from .experiments import ExperimentConfig, run_random_benchmark
 from .pod import SnapshotMatrix, compute_pod
 from .selection import (
+    METHOD_RANDOM,
+    METHOD_SCALAR_GREEDY,
+    METHOD_VECTOR_GREEDY,
+    METHODS,
     ExhaustionError,
     SensorSelection,
     select_convex,
@@ -67,20 +71,18 @@ def _cmd_pod(args) -> int:
 def _cmd_select(args) -> int:
     modes = fileio.read_matrix(args.modes, header=args.header)
     s = args.components
-    if args.method == "vector-greedy":
+    if args.method == METHOD_VECTOR_GREEDY:
         sel = select_vector_greedy(modes, args.count, components=s)
-    elif args.method == "scalar-greedy":
+    elif args.method == METHOD_SCALAR_GREEDY:
         sel = select_scalar_greedy(modes, args.count)
-    elif args.method == "random":
+    elif args.method == METHOD_RANDOM:
         if args.seed is None:
             raise MissingOptionError("--seed is required for the random method")
         if modes.shape[0] % s != 0:
             raise ValueError(f"{modes.shape[0]} rows not divisible by {s} components")
         sel = select_random(modes.shape[0] // s, args.count, seed=args.seed, components=s)
-    elif args.method == "convex":
+    else:  # METHOD_CONVEX; argparse choices admit nothing else
         sel = select_convex(modes, args.count, components=s)
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown method {args.method!r}")
     fileio.write_selection(args.out, sel)
     return EXIT_OK
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("modes", help="CSV mode / candidate matrix (n x r)")
     p_sel.add_argument("out", help="output selection CSV")
     p_sel.add_argument("-m", "--method", required=True,
-                       choices=["vector-greedy", "scalar-greedy", "random", "convex"],
+                       choices=METHODS,
                        help="selection strategy (scalar-greedy picks individual "
                        "rows and ignores --components)")
     p_sel.add_argument("-p", "--count", type=int, required=True,

@@ -94,15 +94,17 @@ def score_logdet(model: MeasurementModel) -> float:
     """Log absolute determinant score of a measurement model.
 
     Returns ``ln |det C|`` for square C and ``0.5 ln det(C C^T)`` for wide
-    budgets (both equal the log hypervolume of the selected rows).  A singular
-    matrix yields ``-inf`` instead of raising, so benchmark loops over random
-    selections can count and skip those draws.
+    budgets (both equal the log hypervolume of the selected rows).  The wide
+    case takes ``ln |det R|`` from the QR factorization ``C^T = Q R`` rather
+    than forming ``C C^T``, which would square the condition number.  A
+    singular matrix yields ``-inf`` instead of raising, so benchmark loops over
+    random selections can count and skip those draws.
     """
     c = model.c
     try:
         if c.shape[0] == c.shape[1]:
             return linalg.log_abs_det(c)
-        return 0.5 * linalg.log_abs_det(c @ c.T)
+        return linalg.log_abs_det(np.linalg.qr(c.T, mode="r"))
     except linalg.SingularMatrixError:
         return float("-inf")
 

@@ -251,7 +251,9 @@ def _select_for_benchmark(
     component = _scalar_component_index(method)
     if component is not None:
         # Select on one component block only; the stacked measurement matrix
-        # later gathers the co-located rows of every component.
+        # later gathers the co-located rows of every component.  The block's
+        # step gains do not multiply to det(C)^2 of that stacked matrix, so
+        # none are carried.
         block = candidate[(component - 1) * npc : component * npc]
         scalar = select_scalar_greedy(block, p)
         return SensorSelection(
@@ -259,7 +261,6 @@ def _select_for_benchmark(
             components=s,
             dof_per_component=npc,
             method=METHOD_SCALAR_GREEDY,
-            step_gains=scalar.step_gains,
         )
     if method == "vector-greedy":
         return select_vector_greedy(candidate, p, components=s)

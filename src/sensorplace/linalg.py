@@ -1,40 +1,28 @@
 """Dense linear-algebra kernels shared by the placement and reconstruction code.
 
-Everything operates on plain 2-D ``numpy.float64`` arrays.  Degeneracy cutoffs
-are scale-relative (``DEGENERATE_RTOL`` times the largest squared row norm of
-the matrix in play), so orthonormal mode matrices and raw Gaussian candidate
-matrices behave identically under scaling.
+Everything operates on plain 2-D ``numpy.float64`` arrays.  The singularity
+cutoff of ``log_abs_det`` is scale-relative (``DEGENERATE_RTOL`` times the
+largest absolute entry), so orthonormal mode matrices and raw Gaussian
+candidate matrices behave identically under scaling.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DEGENERATE_RTOL",
-    "DegenerateDirectionError",
     "SingularMatrixError",
     "NonConvergenceError",
-    "LeastSquaresSolution",
     "as_matrix",
-    "row_norm_sq",
-    "degenerate_threshold",
-    "deflate",
     "thin_svd",
     "log_abs_det",
-    "solve_least_squares",
 ]
 
-# Squared row norms at or below DEGENERATE_RTOL * max squared row norm are
-# treated as zero by deflation and pivoting.
+# LU pivots at or below DEGENERATE_RTOL * max absolute entry are treated as zero.
 DEGENERATE_RTOL = 1e-13
-
-
-class DegenerateDirectionError(ValueError):
-    """Requested deflation direction has (near-)zero norm."""
 
 
 class SingularMatrixError(ArithmeticError):
@@ -52,15 +40,6 @@ class NonConvergenceError(RuntimeError):
     """An iterative kernel did not reach its stopping criterion."""
 
 
-@dataclass(frozen=True)
-class LeastSquaresSolution:
-    """Minimum-norm least-squares solution plus a rank-deficiency flag."""
-
-    solution: np.ndarray
-    rank: int
-    rank_deficient: bool
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=np.float64)
@@ -69,58 +48,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def row_norm_sq(m, i: int) -> float:
-    """Squared Euclidean norm of row ``i`` of ``m``."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    if not 0 <= i < m.shape[0]:
-        raise IndexError(f"row index {i} out of range for {m.shape[0]} rows")
-    row = m[i]
-    return float(np.dot(row, row))
-
-
-def degenerate_threshold(m) -> float:
-    """Scale-relative cutoff below which a squared row norm counts as zero."""
-    m = np.asarray(m, dtype=np.float64)
-    norms_sq = np.einsum("ij,ij->i", m, m)
-    return DEGENERATE_RTOL * float(norms_sq.max())
-
-
-def deflate(m, v, threshold: float | None = None) -> np.ndarray:
-    """Remove the direction ``v`` from every row of ``m``.
-
-    Returns ``m - m v^T v / ||v||^2``, one Gram-Schmidt projection step: every
-    row of the result is orthogonal to ``v``.
-
-    Parameters
-    ----------
-    m : array_like, shape (rows, cols)
-    v : array_like, shape (cols,)
-        Direction to remove.  Its squared norm must exceed ``threshold``.
-    threshold : float, optional
-        Degeneracy cutoff for ``||v||^2``.  Defaults to
-        ``degenerate_threshold(m)``.
-
-    Raises
-    ------
-    DegenerateDirectionError
-        If ``||v||^2`` is at or below the cutoff.
-    """
-    m = as_matrix(m)
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != m.shape[1]:
-        raise ValueError(f"direction has length {v.size}, expected {m.shape[1]}")
-    if threshold is None:
-        threshold = degenerate_threshold(m)
-    vv = float(np.dot(v, v))
-    if vv <= threshold:
-        raise DegenerateDirectionError(
-            f"direction norm^2 {vv:.3e} is at or below the degeneracy cutoff {threshold:.3e}"
-        )
-    return m - np.outer(m @ v, v) / vv
 
 
 def thin_svd(m, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,22 +98,3 @@ def log_abs_det(m) -> float:
         )
     return float(np.sum(np.log(pivots)))
 
-
-def solve_least_squares(a, b) -> LeastSquaresSolution:
-    """Minimum-norm ``x`` minimizing ``||a x - b||_2``.
-
-    Equals ``a^-1 b`` when ``a`` is square and nonsingular.  A rank-deficient
-    ``a`` still yields the minimum-norm solution, flagged on the result.
-    """
-    a = as_matrix(a, name="coefficient matrix")
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1:
-        raise ValueError("right-hand side must be a vector")
-    if b.size != a.shape[0]:
-        raise ValueError(f"right-hand side has length {b.size}, expected {a.shape[0]}")
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    return LeastSquaresSolution(
-        solution=x,
-        rank=int(rank),
-        rank_deficient=int(rank) < min(a.shape),
-    )

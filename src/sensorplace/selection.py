@@ -3,9 +3,10 @@
 Four selectors over an n x r candidate matrix whose rows are stacked
 component-wise (component j of location i lives in row ``i + (n/s) * j``):
 
-* scalar greedy: pick the largest-norm row, deflate, repeat;
+* scalar greedy: pick the largest-norm row, project it out, repeat;
 * vector greedy: pick the location whose s co-located rows span the largest
-  hypervolume against everything already selected, deflate by all s rows;
+  hypervolume against everything already selected, project all s rows out
+  (scalar greedy is this kernel at s = 1);
 * random: seeded uniform draw without replacement;
 * convex: round the continuous log-det relaxation solved by projected
   gradient ascent.
@@ -27,6 +28,7 @@ __all__ = [
     "METHOD_VECTOR_GREEDY",
     "METHOD_RANDOM",
     "METHOD_CONVEX",
+    "METHODS",
     "ExhaustionError",
     "ConvexSolverError",
     "ConvexOptions",
@@ -42,6 +44,14 @@ METHOD_SCALAR_GREEDY = "scalar-greedy"
 METHOD_VECTOR_GREEDY = "vector-greedy"
 METHOD_RANDOM = "random"
 METHOD_CONVEX = "convex"
+METHODS = (METHOD_VECTOR_GREEDY, METHOD_SCALAR_GREEDY, METHOD_RANDOM, METHOD_CONVEX)
+
+# A greedy residual row norm at or below _RESIDUAL_RTOL * r * eps times the
+# candidate's largest row norm counts as zero.  On exactly rank-k candidates
+# the twice-applied projection leaves residuals below r * eps * max row norm,
+# so the factor 10 separates those from genuine directions, while full-rank
+# candidates with column scales down to 1e-12 keep every direction.
+_RESIDUAL_RTOL = 10.0
 
 
 class ExhaustionError(RuntimeError):
@@ -148,12 +158,73 @@ def _candidate_array(candidate, components: int | None) -> tuple[np.ndarray, int
     return matrix, s
 
 
-def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
-    """Greedy scalar-measurement selection by largest deflated row norm.
+def _greedy(matrix: np.ndarray, sensors: int, s: int, method: str) -> SensorSelection:
+    """Greedy determinant maximization over locations of s stacked rows.
 
-    At each step the remaining row of largest squared norm is chosen, then
-    its direction is removed from the whole working matrix, so each pick
-    maximizes the one-step volume gain of the selected row set.
+    Every step scores each unselected location by the product of the squared
+    norms of its s working rows orthogonalized in component order, which is
+    the squared volume those rows add to the rows already picked.  The argmax
+    wins, and its orthonormalized rows Q are projected out of the working copy
+    by ``W -= (W Q) Q^T``, applied twice so the residual stays orthogonal to
+    the picked rows to working precision ("twice is enough").
+    """
+    n, r = matrix.shape
+    dof = n // s
+    # The working copy is stored transposed: work[:, j, i] (column i + dof*j
+    # of flat) is row i + dof*j of the candidate.  The long axis then runs
+    # over locations, so every elementwise step streams contiguous memory.
+    flat = matrix.T.copy()
+    work = flat.reshape(r, s, dof)
+    max_norm = float(np.sqrt(np.einsum("rn,rn->n", flat, flat).max()))
+    cutoff = _RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
+    cutoff_sq = cutoff * cutoff
+    alive = np.ones(dof, dtype=bool)
+    chosen: list[int] = []
+    gains: list[float] = []
+    for step in range(1, sensors + 1):
+        # Orthogonalize each location's rows in component order; at s = 1
+        # this is the squared row norms of the working copy itself.
+        rows = work if s == 1 else work.copy()
+        norms_sq = np.empty((s, dof))
+        for j in range(s):
+            norms_sq[j] = np.einsum("rl,rl->l", rows[:, j], rows[:, j])
+            if j + 1 < s:
+                denom = np.where(norms_sq[j] > cutoff_sq, norms_sq[j], 1.0)
+                coef = np.einsum("rkl,rl->kl", rows[:, j + 1 :], rows[:, j]) / denom
+                rows[:, j + 1 :] -= coef * rows[:, j][:, None, :]
+        scores = np.prod(norms_sq, axis=0)
+        scores[(norms_sq <= cutoff_sq).any(axis=0)] = 0.0
+        scores[~alive] = -np.inf
+        pick = int(np.argmax(scores))
+        if not scores[pick] > 0.0:
+            raise ExhaustionError(
+                f"all remaining locations are degenerate at step {step}", step=step
+            )
+        chosen.append(pick)
+        gains.append(float(scores[pick]))
+        alive[pick] = False
+        q = rows[:, :, pick] / np.sqrt(norms_sq[:, pick])
+        for _ in range(2):
+            coef = q.T @ flat
+            # A matrix product with inner dimension 1 runs several times
+            # slower than the same outer product by broadcasting.
+            flat -= q * coef if s == 1 else q @ coef
+    return SensorSelection(
+        locations=tuple(chosen),
+        components=s,
+        dof_per_component=dof,
+        method=method,
+        step_gains=tuple(gains),
+    )
+
+
+def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
+    """Greedy scalar-measurement selection by largest residual row norm.
+
+    At each step the row of largest squared norm after projecting out the rows
+    already chosen is picked, which maximizes the one-step volume gain of the
+    selected row set.  Every row is its own location, also for a
+    multi-component ``PODBasis``.
 
     Parameters
     ----------
@@ -168,63 +239,7 @@ def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
         raise ValueError(f"sensor count {sensors} violates p <= r with r={r}")
     if sensors > n:
         raise ValueError(f"cannot select {sensors} rows from {n}")
-
-    work = matrix.copy()
-    threshold = linalg.degenerate_threshold(work)
-    alive = np.ones(n, dtype=bool)
-    chosen: list[int] = []
-    gains: list[float] = []
-    for step in range(1, sensors + 1):
-        norms_sq = np.einsum("ij,ij->i", work, work)
-        scores = np.where(alive, norms_sq, -np.inf)
-        pick = int(np.argmax(scores))
-        if scores[pick] <= threshold:
-            raise ExhaustionError(
-                f"no non-degenerate row left at step {step}", step=step
-            )
-        chosen.append(pick)
-        gains.append(float(norms_sq[pick]))
-        alive[pick] = False
-        v = work[pick].copy()
-        work = _deflate_inplace(work, v, float(np.dot(v, v)))
-    return SensorSelection(
-        locations=tuple(chosen),
-        components=1,
-        dof_per_component=n,
-        method=METHOD_SCALAR_GREEDY,
-        step_gains=tuple(gains),
-    )
-
-
-def _deflate_inplace(work: np.ndarray, v: np.ndarray, vv: float) -> np.ndarray:
-    # Same update as linalg.deflate; norm check already done by the caller.
-    work -= np.outer(work @ v, v) / vv
-    return work
-
-
-def _hypervolume_scores(work: np.ndarray, components: int, threshold: float) -> np.ndarray:
-    """Per-location products of squared norms under within-location deflation.
-
-    For every location the s co-located rows are orthogonalized in component
-    order and their squared norms multiplied.  A location with a degenerate
-    (near-zero) deflated row scores exactly 0.
-    """
-    s = components
-    dof = work.shape[0] // s
-    # blocks[i, j] is row i + dof*j of the working matrix
-    blocks = work.reshape(s, dof, -1).transpose(1, 0, 2).copy()
-    scores = np.ones(dof)
-    dead = np.zeros(dof, dtype=bool)
-    for j in range(s):
-        norms_sq = np.einsum("lr,lr->l", blocks[:, j], blocks[:, j])
-        dead |= norms_sq <= threshold
-        scores = scores * norms_sq
-        if j + 1 < s:
-            denom = np.where(norms_sq > threshold, norms_sq, 1.0)
-            coef = np.einsum("lkr,lr->lk", blocks[:, j + 1 :], blocks[:, j]) / denom[:, None]
-            blocks[:, j + 1 :] -= coef[:, :, None] * blocks[:, j][:, None, :]
-    scores[dead] = 0.0
-    return scores
+    return _greedy(matrix, sensors, 1, METHOD_SCALAR_GREEDY)
 
 
 def select_vector_greedy(
@@ -233,9 +248,9 @@ def select_vector_greedy(
     """Greedy vector-measurement selection by largest co-located hypervolume.
 
     Each step scores every unselected location by the product of squared norms
-    of its s stacked rows under sequential within-location deflation (the
-    squared hypervolume those rows add to the already-selected set), picks the
-    argmax, and removes all s winning row directions from the working matrix.
+    of its s stacked rows, orthogonalized in component order against each
+    other and against the rows already picked (the squared hypervolume those
+    rows add to the selected set), and picks the argmax.
 
     With ``components == 1`` this reduces exactly to ``select_scalar_greedy``.
 
@@ -254,38 +269,7 @@ def select_vector_greedy(
     SelectionBudget(sensors=sensors, components=s, rank=r)
     if sensors > dof:
         raise ValueError(f"cannot select {sensors} of {dof} locations")
-
-    work = matrix.copy()
-    threshold = linalg.degenerate_threshold(work)
-    alive = np.ones(dof, dtype=bool)
-    chosen: list[int] = []
-    gains: list[float] = []
-    for step in range(1, sensors + 1):
-        scores = _hypervolume_scores(work, s, threshold)
-        scores[~alive] = -np.inf
-        pick = int(np.argmax(scores))
-        if not scores[pick] > 0.0:
-            raise ExhaustionError(
-                f"all remaining locations are degenerate at step {step}", step=step
-            )
-        chosen.append(pick)
-        gains.append(float(scores[pick]))
-        alive[pick] = False
-        for j in range(s):
-            v = work[pick + dof * j].copy()
-            vv = float(np.dot(v, v))
-            if vv <= threshold:
-                raise ExhaustionError(
-                    f"degenerate row while deflating winner at step {step}", step=step
-                )
-            work = _deflate_inplace(work, v, vv)
-    return SensorSelection(
-        locations=tuple(chosen),
-        components=s,
-        dof_per_component=dof,
-        method=METHOD_VECTOR_GREEDY,
-        step_gains=tuple(gains),
-    )
+    return _greedy(matrix, sensors, s, METHOD_VECTOR_GREEDY)
 
 
 def select_random(

@@ -1,11 +1,15 @@
 """Independent brute-force oracles the tests check library results against.
 
 Everything here deliberately avoids the library's own code paths: determinants
-by cofactor expansion, linear solves by hand-rolled Gaussian elimination, and
-greedy step optimality by exhaustive enumeration over remaining candidates.
+by cofactor expansion, greedy step optimality by exhaustive enumeration over
+remaining candidates, in floating point or exactly in integer arithmetic
+(fraction-free Bareiss elimination of Gram matrices), and CSV files by plain
+line-by-line parsing.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,29 +27,6 @@ def det_cofactor(a: np.ndarray) -> float:
         minor = np.delete(sub, j, axis=1)
         total += ((-1.0) ** j) * float(a[0, j]) * det_cofactor(minor)
     return total
-
-
-def solve_gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Square solve by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=np.float64, copy=True)
-    b = np.array(b, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    assert a.shape == (n, n) and b.shape == (n,)
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot, col]) == 0.0:
-            raise ZeroDivisionError("singular system")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        for row in range(col + 1, n):
-            f = a[row, col] / a[col, col]
-            a[row, col:] -= f * a[col, col:]
-            b[row] -= f * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
 
 
 def location_rows(location: int, dof: int, components: int) -> list[int]:
@@ -87,6 +68,65 @@ def exhaustive_step_argmax(
         if val > best_val:
             best_loc, best_val = loc, val
     return best_loc, best_val
+
+
+def integer_rows(m: np.ndarray) -> list[list[int]]:
+    """The float matrix times one power of two, as exact Python integers."""
+    fractions = [[Fraction(float(x)) for x in row] for row in m]
+    scale = max(f.denominator for row in fractions for f in row)
+    return [[int(f * scale) for f in row] for row in fractions]
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [row[:] for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def exact_step_violations(
+    candidate: np.ndarray, locations, components: int, rtol: Fraction = Fraction(1, 10**9)
+) -> list[str]:
+    """Greedy picks that miss the exact one-step maximum by more than ``rtol``.
+
+    At step k every remaining location is scored by the exact determinant of
+    the integer Gram matrix of the rows picked before plus that location's
+    rows.  One integer scaling serves every score, so they compare exactly.
+    """
+    dof = candidate.shape[0] // components
+    ints = integer_rows(candidate)
+    problems = []
+    for k, loc in enumerate(locations):
+        base = []
+        for earlier in locations[:k]:
+            base += location_rows(earlier, dof, components)
+        dets = {}
+        for i in range(dof):
+            if i in locations[:k]:
+                continue
+            rows = [ints[j] for j in base + location_rows(i, dof, components)]
+            gram = [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
+            dets[i] = bareiss_det(gram)
+        best = max(dets.values())
+        if best <= 0:
+            problems.append(f"step {k + 1}: every remaining location is exactly degenerate")
+        elif Fraction(dets[int(loc)], best) < 1 - rtol:
+            problems.append(
+                f"step {k + 1}: picked {loc}, exact maximum at {max(dets, key=dets.get)}"
+            )
+    return problems
 
 
 def read_matrix_lines(path, header: bool = False):

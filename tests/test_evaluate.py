@@ -90,10 +90,20 @@ class TestScoreLogdet:
         expected = 0.5 * math.log(np.linalg.det(c @ c.T))
         assert score_logdet(model) == pytest.approx(expected, rel=1e-10)
 
+    def test_wide_budget_keeps_condition_number(self):
+        # C C^T = [[1, 1], [1, 1 + 1e-18]] rounds to a singular matrix; the
+        # two rows still span an area of 1e-9.
+        candidate = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1e-9, 0.0, 0.0]])
+        model = build_model(candidate, selection_of([0, 1], components=1, dof=2))
+        assert score_logdet(model) == pytest.approx(math.log(1e-9), rel=1e-9)
+
     def test_singular_gives_negative_infinity(self):
         candidate = np.vstack([np.ones((2, 2)), np.eye(2)])
         sel = selection_of([0, 1], components=1, dof=4)
         assert score_logdet(build_model(candidate, sel)) == -np.inf
+        wide = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        sel = selection_of([0, 1], components=1, dof=2)
+        assert score_logdet(build_model(wide, sel)) == -np.inf
 
 
 def tiny_basis(seed, n=8, r=4, components=2, n_snap=10):

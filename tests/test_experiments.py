@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sensorplace.evaluate import build_model, score_logdet
 from sensorplace.experiments import (
     METHOD_FULL_OBSERVATION,
     ExperimentConfig,
+    _select_for_benchmark,
     generate_synthetic_flow,
     run_random_benchmark,
     run_reconstruction_study,
@@ -90,6 +92,22 @@ class TestRandomBenchmark:
                                methods=("vector-greedy", "convex", "random"))
         report = run_random_benchmark(cfg)
         assert np.isfinite(report.cell("convex", 4).mean)
+
+
+    def test_step_gains_multiply_to_squared_determinant(self):
+        # Step gains on a selection describe its own stacked measurement
+        # matrix C: their product is det(C)^2.  A selection whose gains would
+        # describe something else must carry none.
+        for s in (1, 2, 3):
+            cfg = ExperimentConfig(r_values=(6,), base_seed=5, n_per_component=40,
+                                   components=s, trials=1)
+            candidate = np.random.default_rng([90, s]).standard_normal((s * 40, 6))
+            for method in cfg.methods + ("convex",):
+                sel = _select_for_benchmark(method, candidate, cfg, 6 // s, 5, 6)
+                if sel.step_gains is None:
+                    continue
+                det_sq = np.exp(2.0 * score_logdet(build_model(candidate, sel)))
+                assert np.prod(sel.step_gains) == pytest.approx(det_sq, rel=1e-8), method
 
 
 class TestSyntheticFlow:

@@ -5,62 +5,7 @@ import pytest
 
 from sensorplace import linalg
 
-from oracles import det_cofactor, solve_gauss
-
-
-class TestRowNormSq:
-    def test_identity_unit_row(self):
-        assert linalg.row_norm_sq(np.eye(3), 0) == 1.0
-
-    def test_three_four_five(self):
-        assert linalg.row_norm_sq(np.array([[3.0, 4.0]]), 0) == 25.0
-
-    def test_matches_elementwise_sum(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((5, 4))
-        for i in range(5):
-            brute = sum(m[i, j] ** 2 for j in range(4))
-            assert linalg.row_norm_sq(m, i) == pytest.approx(brute, rel=1e-14)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            linalg.row_norm_sq(np.eye(2), 2)
-
-
-class TestDeflate:
-    def test_coordinate_projection(self):
-        out = linalg.deflate(np.eye(2), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out, [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
-
-    def test_orthogonal_row_unchanged(self):
-        m = np.array([[0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
-        v = np.array([1.0, 0.0, 0.0])
-        out = linalg.deflate(m, v)
-        np.testing.assert_allclose(out[0], m[0], rtol=1e-14)
-
-    def test_all_rows_orthogonal_to_direction(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((6, 4))
-        v = rng.standard_normal(4)
-        out = linalg.deflate(m, v)
-        bound = 1e-10 * np.linalg.norm(m) * np.linalg.norm(v)
-        assert np.max(np.abs(out @ v)) <= bound
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((5, 3))
-        v = rng.standard_normal(3)
-        once = linalg.deflate(m, v)
-        twice = linalg.deflate(once, v)
-        assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
-
-    def test_degenerate_direction_rejected(self):
-        with pytest.raises(linalg.DegenerateDirectionError):
-            linalg.deflate(np.eye(3), np.zeros(3))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.deflate(np.eye(3), np.ones(2))
+from oracles import det_cofactor
 
 
 class TestThinSvd:
@@ -131,47 +76,6 @@ class TestLogAbsDet:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             linalg.log_abs_det(np.ones((2, 3)))
-
-
-class TestSolveLeastSquares:
-    def test_identity_system(self):
-        out = linalg.solve_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.solution, [1.0, 2.0, 3.0])
-        assert not out.rank_deficient
-
-    def test_mean_of_two_observations(self):
-        out = linalg.solve_least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-        np.testing.assert_allclose(out.solution, [1.0])
-        assert not out.rank_deficient
-
-    def test_matches_elimination_oracle(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
-        b = rng.standard_normal(8)
-        out = linalg.solve_least_squares(a, b)
-        assert np.linalg.norm(a @ out.solution - b) <= 1e-10 * np.linalg.norm(b)
-        np.testing.assert_allclose(out.solution, solve_gauss(a, b), rtol=1e-9)
-
-    def test_residual_orthogonal_to_column_space(self):
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            a = rng.standard_normal((9, 4))
-            b = rng.standard_normal(9)
-            out = linalg.solve_least_squares(a, b)
-            resid = a @ out.solution - b
-            bound = 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)
-            assert np.linalg.norm(a.T @ resid) <= bound
-
-    def test_rank_deficiency_flagged(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        out = linalg.solve_least_squares(a, np.array([1.0, 1.0, 1.0]))
-        assert out.rank_deficient
-        # minimum-norm solution splits the weight evenly
-        np.testing.assert_allclose(out.solution, [0.5, 0.5], rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.solve_least_squares(np.eye(3), np.ones(2))
 
 
 class TestValidation:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorplace import build_model, score_logdet
 from sensorplace.selection import (
@@ -14,7 +17,7 @@ from sensorplace.selection import (
     select_vector_greedy,
 )
 
-from oracles import exhaustive_step_argmax, gram_det_gain
+from oracles import exact_step_violations, exhaustive_step_argmax
 
 
 class TestSensorSelection:
@@ -183,6 +186,83 @@ class TestVectorGreedy:
         sel = select_vector_greedy(basis, 2)
         assert sel.components == 2
         assert sel.dof_per_component == 6
+
+
+def graded_candidate(components, index, smallest):
+    """Raw stacked candidate with 20 locations and column scales 1 .. ``smallest``."""
+    r = 8 if components < 3 else 9
+    rng = np.random.default_rng([2019, components, index])
+    return rng.standard_normal((components * 20, r)) * np.logspace(0.0, np.log10(smallest), r)
+
+
+def exact_rank_candidate(n, r, scales, seed):
+    """n x r candidate of rank len(scales): orthonormal factors times scales."""
+    rng = np.random.default_rng(seed)
+    k = len(scales)
+    left, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    right, _ = np.linalg.qr(rng.standard_normal((r, k)))
+    return (left * np.asarray(scales)) @ right.T
+
+
+class TestNumericalEdges:
+    @pytest.mark.parametrize("smallest", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["vector", "scalar"])
+    def test_graded_columns_match_exact_oracle(self, method, s, smallest):
+        # Full rank but badly scaled: every pick must attain the exact
+        # (rational-arithmetic) one-step maximum, never exhaust.
+        for index in range(2):
+            candidate = graded_candidate(s, index, smallest)
+            p = candidate.shape[1] // s
+            if method == "vector":
+                sel = select_vector_greedy(candidate, p, components=s)
+                assert exact_step_violations(candidate, list(sel.locations), s) == []
+            else:
+                sel = select_scalar_greedy(candidate, s * p)
+                assert exact_step_violations(candidate, list(sel.locations), 1) == []
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        s=st.integers(1, 3),
+        picks=st.integers(1, 4),
+        spare_rank=st.integers(0, 2),
+        spare_locations=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_exact_rank_exhausts_right_after_rank_picks(
+        self, s, picks, spare_rank, spare_locations, seed, data
+    ):
+        k = s * picks
+        r = k + s + spare_rank
+        dof = picks + 1 + spare_locations
+        scales = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k))
+        candidate = exact_rank_candidate(s * dof, r, scales, seed)
+        with pytest.raises(ExhaustionError) as info:
+            select_vector_greedy(candidate, picks + 1, components=s)
+        assert info.value.step == picks + 1
+        with pytest.raises(ExhaustionError) as info:
+            select_scalar_greedy(candidate, k + 1)
+        assert info.value.step == k + 1
+
+
+class TestScalarGreedyIsPivotedQR:
+    """Scalar greedy is Businger-Golub column pivoting (LAPACK geqp3) of U^T."""
+
+    @pytest.mark.parametrize("orthonormal", [False, True])
+    def test_picks_and_gains_match_geqp3(self, orthonormal):
+        # n >= 2r: a square orthonormal U has exact norm ties, which geqp3
+        # breaks differently.
+        rng = np.random.default_rng(54)
+        for n, r in ((16, 8), (60, 12), (500, 30), (2000, 40)):
+            for _ in range(3):
+                candidate = rng.standard_normal((n, r))
+                if orthonormal:
+                    candidate, _ = np.linalg.qr(candidate)
+                sel = select_scalar_greedy(candidate, r)
+                _, rfac, pivots = scipy.linalg.qr(candidate.T, mode="economic", pivoting=True)
+                assert sel.locations == tuple(int(i) for i in pivots[:r])
+                np.testing.assert_allclose(sel.step_gains, np.diag(rfac) ** 2, rtol=1e-10)
 
 
 class TestRandom:
