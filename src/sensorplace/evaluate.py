@@ -94,19 +94,13 @@ def score_logdet(model: MeasurementModel) -> float:
     """Log absolute determinant score of a measurement model.
 
     Returns ``ln |det C|`` for square C and ``0.5 ln det(C C^T)`` for wide
-    budgets (both equal the log hypervolume of the selected rows).  The wide
-    case takes ``ln |det R|`` from the QR factorization ``C^T = Q R`` rather
-    than forming ``C C^T``, which would square the condition number.  A
-    singular matrix yields ``-inf`` instead of raising, so benchmark loops over
-    random selections can count and skip those draws.
+    budgets (both equal the log hypervolume of the selected rows), from one
+    QR factorization of ``C^T`` (``linalg.log_row_volume``).  A selection
+    whose rows the greedy selectors' zero rule calls dependent yields
+    ``-inf`` instead of raising, so benchmark loops over random selections
+    can count and skip those draws.
     """
-    c = model.c
-    try:
-        if c.shape[0] == c.shape[1]:
-            return linalg.log_abs_det(c)
-        return linalg.log_abs_det(np.linalg.qr(c.T, mode="r"))
-    except linalg.SingularMatrixError:
-        return float("-inf")
+    return float(linalg.log_row_volume(model.c))
 
 
 def observe(

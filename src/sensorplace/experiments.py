@@ -25,22 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluate import (
-    build_model,
-    observe,
-    reconstruct,
-    reconstruction_error,
-    score_logdet,
-)
+from . import linalg
+from .evaluate import build_model, observe, reconstruct, reconstruction_error
 from .pod import SnapshotMatrix, compute_pod, mode_amplitudes
 from .selection import (
+    METHOD_CONVEX,
+    METHOD_RANDOM,
     METHOD_SCALAR_GREEDY,
+    METHODS,
     ConvexOptions,
     SensorSelection,
+    _select_greedy,
     select_convex,
     select_random,
-    select_scalar_greedy,
-    select_vector_greedy,
 )
 
 __all__ = [
@@ -66,6 +63,35 @@ def _stream_seed(trial_seed: int, tag: int, r: int) -> int:
 
 def _data_rng(trial_seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([trial_seed, _DATA_STREAM, r]))
+
+
+# Bytes of candidates the random benchmark holds and selects on at once.
+# Stacking trials spreads the per-call cost of the greedy kernel; a budget in
+# bytes rather than in trials keeps memory bounded for any n and r.  At the
+# default config 2 MiB ran fastest of 0.5 to 16 MiB (larger stacks outgrow
+# the cache; single candidates pay the per-call cost).
+_CHUNK_BYTES = 2**21
+
+
+def _trial_chunk(rows: int, r: int) -> int:
+    """Trials per chunk for candidates of ``rows`` x ``r`` float64 entries."""
+    return max(1, _CHUNK_BYTES // (8 * rows * r))
+
+
+def _study_methods(s: int) -> dict[str, tuple[str, int | None]]:
+    """Study method names for s components -> (selector method, component).
+
+    Every selector method is a study method, except that scalar greedy runs
+    on one component block at a time as ``scalar-greedy-component-K``.
+    """
+    table: dict[str, tuple[str, int | None]] = {}
+    for method in METHODS:
+        if method == METHOD_SCALAR_GREEDY:
+            for k in range(1, s + 1):
+                table[f"{method}-component-{k}"] = (method, k)
+        else:
+            table[method] = (method, None)
+    return table
 
 
 @dataclass(frozen=True)
@@ -106,17 +132,14 @@ class ExperimentConfig:
                 raise ValueError(f"every r must be a positive multiple of s={s}; got {r}")
             if r // s > self.n_per_component:
                 raise ValueError(f"p = {r // s} exceeds {self.n_per_component} locations")
+        table = _study_methods(s)
         if self.methods is None:
-            default = ["vector-greedy"]
-            default += [f"scalar-greedy-component-{k}" for k in range(1, s + 1)]
-            default.append("random")
-            object.__setattr__(self, "methods", tuple(default))
+            default = tuple(m for m, (base, _) in table.items() if base != METHOD_CONVEX)
+            object.__setattr__(self, "methods", default)
         else:
             object.__setattr__(self, "methods", tuple(self.methods))
-        allowed = {"vector-greedy", "random", "convex"}
-        allowed |= {f"scalar-greedy-component-{k}" for k in range(1, s + 1)}
         for name in self.methods:
-            if name not in allowed:
+            if name not in table:
                 raise ValueError(f"unknown method {name!r}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods must be unique")
@@ -231,11 +254,43 @@ def _aggregate(
     )
 
 
-def _scalar_component_index(method: str) -> int | None:
-    prefix = "scalar-greedy-component-"
-    if method.startswith(prefix):
-        return int(method[len(prefix) :])
-    return None
+def _select_batch(
+    method: str,
+    candidates: np.ndarray,
+    cfg: ExperimentConfig,
+    p: int,
+    trial_seeds,
+    r: int,
+) -> list[SensorSelection]:
+    """One study method on a stack of candidates (B, n, r), one trial seed each."""
+    s = cfg.components
+    npc = cfg.n_per_component
+    try:
+        base, component = _study_methods(s)[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
+    if base == METHOD_RANDOM:
+        return [
+            select_random(npc, p, seed=_stream_seed(seed, _RANDOM_STREAM, r), components=s)
+            for seed in trial_seeds
+        ]
+    if base == METHOD_CONVEX:
+        return [
+            select_convex(c, p, components=s, options=cfg.convex_options) for c in candidates
+        ]
+    if component is None:
+        return _select_greedy(candidates, p, s, base)
+    block = candidates[:, (component - 1) * npc : component * npc]
+    # Selected on one component block only; the stacked measurement matrix
+    # later gathers the co-located rows of every component.  The block's step
+    # gains do not multiply to det(C)^2 of that stacked matrix, so none are
+    # carried.
+    return [
+        SensorSelection(
+            locations=sel.locations, components=s, dof_per_component=npc, method=base
+        )
+        for sel in _select_greedy(block, p, 1, base)
+    ]
 
 
 def _select_for_benchmark(
@@ -246,30 +301,8 @@ def _select_for_benchmark(
     trial_seed: int,
     r: int,
 ) -> SensorSelection:
-    s = cfg.components
-    npc = cfg.n_per_component
-    component = _scalar_component_index(method)
-    if component is not None:
-        # Select on one component block only; the stacked measurement matrix
-        # later gathers the co-located rows of every component.  The block's
-        # step gains do not multiply to det(C)^2 of that stacked matrix, so
-        # none are carried.
-        block = candidate[(component - 1) * npc : component * npc]
-        scalar = select_scalar_greedy(block, p)
-        return SensorSelection(
-            locations=scalar.locations,
-            components=s,
-            dof_per_component=npc,
-            method=METHOD_SCALAR_GREEDY,
-        )
-    if method == "vector-greedy":
-        return select_vector_greedy(candidate, p, components=s)
-    if method == "random":
-        seed = _stream_seed(trial_seed, _RANDOM_STREAM, r)
-        return select_random(npc, p, seed=seed, components=s)
-    if method == "convex":
-        return select_convex(candidate, p, components=s, options=cfg.convex_options)
-    raise ValueError(f"unknown method {method!r}")
+    """One study method on one candidate: ``_select_batch`` on a stack of one."""
+    return _select_batch(method, candidate[None], cfg, p, (trial_seed,), r)[0]
 
 
 def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
@@ -279,24 +312,32 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     ``n_per_component x r`` standard normals), runs each configured method at
     the square budget p = r/s and records ``ln |det C|`` of the stacked
     measurement matrix.  Trials whose measurement matrix is singular count as
-    skipped for that cell.
+    skipped for that cell.  Trials run in chunks of about 2 MiB of
+    candidates: each rank's candidates of a chunk are drawn at once, each
+    method selects on all of them in one call, and their measurement
+    matrices are scored in one stacked QR.
     """
     start = time.perf_counter()
     values: dict[tuple[str, int], list[float]] = {
         (m, r): [] for m in cfg.methods for r in cfg.r_values
     }
     s = cfg.components
-    for trial in range(cfg.trials):
-        trial_seed = cfg.base_seed + trial
-        for r in cfg.r_values:
-            rng = _data_rng(trial_seed, r)
-            candidate = rng.standard_normal((s * cfg.n_per_component, r))
-            p = r // s
+    n = s * cfg.n_per_component
+    for r in cfg.r_values:
+        p = r // s
+        chunk = _trial_chunk(n, r)
+        for first in range(0, cfg.trials, chunk):
+            seeds = range(cfg.base_seed + first, cfg.base_seed + min(first + chunk, cfg.trials))
+            candidates = np.empty((len(seeds), n, r))
+            for candidate, trial_seed in zip(candidates, seeds):
+                _data_rng(trial_seed, r).standard_normal(out=candidate)
             for method in cfg.methods:
-                sel = _select_for_benchmark(method, candidate, cfg, p, trial_seed, r)
-                value = score_logdet(build_model(candidate, sel))
-                if np.isfinite(value):
-                    values[(method, r)].append(value)
+                sels = _select_batch(method, candidates, cfg, p, seeds, r)
+                rows = np.array([sel.selected_rows for sel in sels])
+                scores = linalg.log_row_volume(
+                    candidates[np.arange(len(seeds))[:, None], rows]
+                )
+                values[(method, r)].extend(float(v) for v in scores if np.isfinite(v))
     return _aggregate(
         "random-benchmark",
         "log_det",
@@ -343,13 +384,13 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         fixed_selections = {
             m: _select_for_benchmark(m, basis.modes, cfg, p, 0, r)
             for m in cfg.methods
-            if m != "random"
+            if m != METHOD_RANDOM
         }
         for trial in range(cfg.trials):
             trial_seed = cfg.base_seed + trial
             noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
             for method in cfg.methods:
-                if method == "random":
+                if method == METHOD_RANDOM:
                     sel = _select_for_benchmark(method, basis.modes, cfg, p, trial_seed, r)
                 else:
                     sel = fixed_selections[method]

@@ -1,9 +1,12 @@
 """Dense linear-algebra kernels shared by the placement and reconstruction code.
 
-Everything operates on plain 2-D ``numpy.float64`` arrays.  The singularity
-cutoff of ``log_abs_det`` is scale-relative (``DEGENERATE_RTOL`` times the
-largest absolute entry), so orthonormal mode matrices and raw Gaussian
-candidate matrices behave identically under scaling.
+Everything operates on ``numpy.float64`` arrays; ``log_row_volume`` also
+takes a stack of matrices.  Singularity cutoffs are scale-relative, so
+orthonormal mode matrices and raw Gaussian candidate matrices behave
+identically under scaling: ``log_abs_det`` compares LU pivots with
+``DEGENERATE_RTOL`` times the largest absolute entry, ``log_row_volume``
+and the greedy selectors compare residual row norms with
+``RESIDUAL_RTOL * r * eps`` times the largest row norm.
 """
 
 from __future__ import annotations
@@ -14,15 +17,24 @@ import numpy as np
 
 __all__ = [
     "DEGENERATE_RTOL",
+    "RESIDUAL_RTOL",
     "SingularMatrixError",
     "NonConvergenceError",
     "as_matrix",
     "thin_svd",
     "log_abs_det",
+    "log_row_volume",
 ]
 
 # LU pivots at or below DEGENERATE_RTOL * max absolute entry are treated as zero.
 DEGENERATE_RTOL = 1e-13
+
+# A residual row norm at or below RESIDUAL_RTOL * r * eps times the largest
+# row norm counts as zero.  On exactly rank-k candidates the twice-applied
+# greedy projection leaves residuals below r * eps * max row norm, so the
+# factor 10 separates those from genuine directions, while full-rank
+# candidates with column scales down to 1e-12 keep every direction.
+RESIDUAL_RTOL = 10.0
 
 
 class SingularMatrixError(ArithmeticError):
@@ -98,3 +110,24 @@ def log_abs_det(m) -> float:
         )
     return float(np.sum(np.log(pivots)))
 
+
+def log_row_volume(c) -> np.ndarray:
+    """``ln`` of the volume the rows of ``c`` span, per matrix of a stack.
+
+    ``c`` has shape (..., m, r) with m <= r; the result has shape (...).
+    The volume is ``|det R|`` of the QR factorization ``C^T = Q R``: ``|det C|``
+    for square C and ``sqrt(det(C C^T))`` for wide C, without forming
+    ``C C^T``, which would square the condition number.  A matrix with some
+    ``|R_kk|`` at or below ``RESIDUAL_RTOL * r * eps`` times its largest row
+    norm (the greedy selectors' zero rule) gets ``-inf``.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    m, r = c.shape[-2:]
+    if m > r:
+        raise ValueError(f"rows span no volume in {r} dimensions: got shape {c.shape}")
+    diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"), axis1=-2, axis2=-1))
+    max_norm = np.sqrt(np.einsum("...ij,...ij->...i", c, c).max(axis=-1))
+    cutoff = RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
+    zero = diag <= cutoff[..., None]
+    logs = np.log(np.where(zero, 1.0, diag)).sum(axis=-1)
+    return np.where(zero.any(axis=-1), -np.inf, logs)

@@ -11,6 +11,11 @@ component-wise (component j of location i lives in row ``i + (n/s) * j``):
 * convex: round the continuous log-det relaxation solved by projected
   gradient ascent.
 
+Both greedy selectors run one kernel, ``_greedy``, on a stack of same-shaped
+candidates (the public selectors pass a stack of one; the random-candidate
+study passes a chunk of trials).  It projects every pick out of a working
+copy of each member and never writes the candidate.
+
 All argmax ties break to the lowest index so selections are reproducible.
 """
 
@@ -45,14 +50,6 @@ METHOD_VECTOR_GREEDY = "vector-greedy"
 METHOD_RANDOM = "random"
 METHOD_CONVEX = "convex"
 METHODS = (METHOD_VECTOR_GREEDY, METHOD_SCALAR_GREEDY, METHOD_RANDOM, METHOD_CONVEX)
-
-# A greedy residual row norm at or below _RESIDUAL_RTOL * r * eps times the
-# candidate's largest row norm counts as zero.  On exactly rank-k candidates
-# the twice-applied projection leaves residuals below r * eps * max row norm,
-# so the factor 10 separates those from genuine directions, while full-rank
-# candidates with column scales down to 1e-12 keep every direction.
-_RESIDUAL_RTOL = 10.0
-
 
 class ExhaustionError(RuntimeError):
     """Ran out of non-degenerate candidates; ``step`` is the 1-based step."""
@@ -158,64 +155,99 @@ def _candidate_array(candidate, components: int | None) -> tuple[np.ndarray, int
     return matrix, s
 
 
-def _greedy(matrix: np.ndarray, sensors: int, s: int, method: str) -> SensorSelection:
-    """Greedy determinant maximization over locations of s stacked rows.
+def _greedy(
+    stack: np.ndarray, sensors: int, s: int, method: str
+) -> list[SensorSelection | ExhaustionError]:
+    """Greedy determinant maximization on a stack of candidates.
 
-    Every step scores each unselected location by the product of the squared
-    norms of its s working rows orthogonalized in component order, which is
-    the squared volume those rows add to the rows already picked.  The argmax
-    wins, and its orthonormalized rows Q are projected out of the working copy
-    by ``W -= (W Q) Q^T``, applied twice so the residual stays orthogonal to
-    the picked rows to working precision ("twice is enough").
+    ``stack`` has shape (B, n, r); every member is a candidate of n/s
+    locations with s stacked rows each, and gets its own selection, or the
+    ``ExhaustionError`` it would raise, in the returned list.  Every step
+    scores each unselected location by the product of the squared norms of
+    its s working rows orthogonalized in component order, which is the
+    squared volume those rows add to the rows already picked.  The argmax
+    wins, and its orthonormalized rows Q are projected out of the member's
+    working copy by ``W -= (W Q) Q^T``, applied twice so the residual stays
+    orthogonal to the picked rows to working precision ("twice is enough").
+    The candidates themselves are only read.
     """
-    n, r = matrix.shape
+    batch, n, r = stack.shape
     dof = n // s
-    # The working copy is stored transposed: work[:, j, i] (column i + dof*j
-    # of flat) is row i + dof*j of the candidate.  The long axis then runs
-    # over locations, so every elementwise step streams contiguous memory.
-    flat = matrix.T.copy()
-    work = flat.reshape(r, s, dof)
-    max_norm = float(np.sqrt(np.einsum("rn,rn->n", flat, flat).max()))
-    cutoff = _RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
-    cutoff_sq = cutoff * cutoff
-    alive = np.ones(dof, dtype=bool)
-    chosen: list[int] = []
-    gains: list[float] = []
+    # The working copy is stored transposed: work[b, :, j, i] (column
+    # i + dof*j of flat[b]) is row i + dof*j of member b.  The long axis then
+    # runs over locations, so every elementwise step streams contiguous memory.
+    flat = stack.transpose(0, 2, 1).copy()
+    work = flat.reshape(batch, r, s, dof)
+    max_norm = np.sqrt(np.einsum("brn,brn->bn", flat, flat).max(axis=1))
+    cutoff_sq = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
+    cut = cutoff_sq[:, None]
+    every = np.arange(batch)
+    alive = np.ones((batch, dof), dtype=bool)
+    exhausted: dict[int, ExhaustionError] = {}
+    chosen: list[np.ndarray] = []
+    gains: list[np.ndarray] = []
     for step in range(1, sensors + 1):
         # Orthogonalize each location's rows in component order; at s = 1
         # this is the squared row norms of the working copy itself.
         rows = work if s == 1 else work.copy()
-        norms_sq = np.empty((s, dof))
+        norms_sq = np.empty((batch, s, dof))
         for j in range(s):
-            norms_sq[j] = np.einsum("rl,rl->l", rows[:, j], rows[:, j])
+            norms_sq[:, j] = np.einsum("brl,brl->bl", rows[:, :, j], rows[:, :, j])
             if j + 1 < s:
-                denom = np.where(norms_sq[j] > cutoff_sq, norms_sq[j], 1.0)
-                coef = np.einsum("rkl,rl->kl", rows[:, j + 1 :], rows[:, j]) / denom
-                rows[:, j + 1 :] -= coef * rows[:, j][:, None, :]
-        scores = np.prod(norms_sq, axis=0)
-        scores[(norms_sq <= cutoff_sq).any(axis=0)] = 0.0
+                denom = np.where(norms_sq[:, j] > cut, norms_sq[:, j], 1.0)
+                coef = np.einsum("brkl,brl->bkl", rows[:, :, j + 1 :], rows[:, :, j])
+                rows[:, :, j + 1 :] -= (coef / denom[:, None])[:, None] * rows[:, :, j, None]
+        scores = np.prod(norms_sq, axis=1)
+        scores[(norms_sq <= cut[:, None]).any(axis=1)] = 0.0
         scores[~alive] = -np.inf
-        pick = int(np.argmax(scores))
-        if not scores[pick] > 0.0:
-            raise ExhaustionError(
-                f"all remaining locations are degenerate at step {step}", step=step
-            )
+        pick = np.argmax(scores, axis=1)
+        best = scores[every, pick]
+        norms = np.sqrt(norms_sq[every, :, pick])
+        if not (best > 0.0).all():
+            for b in np.flatnonzero(~(best > 0.0)):
+                exhausted.setdefault(b, ExhaustionError(
+                    f"all remaining locations are degenerate at step {step}", step=step
+                ))
+            if len(exhausted) == batch:
+                break
+            # An exhausted member projects nothing from here on.
+            norms[list(exhausted)] = np.inf
         chosen.append(pick)
-        gains.append(float(scores[pick]))
-        alive[pick] = False
-        q = rows[:, :, pick] / np.sqrt(norms_sq[:, pick])
+        gains.append(best)
+        alive[every, pick] = False
+        if step == sensors:
+            break
+        # q[b]: the winner's orthonormalized rows as columns, shape (r, s).
+        q = rows[every, :, :, pick] / norms[:, None, :]
         for _ in range(2):
-            coef = q.T @ flat
+            coef = q.transpose(0, 2, 1) @ flat
             # A matrix product with inner dimension 1 runs several times
             # slower than the same outer product by broadcasting.
             flat -= q * coef if s == 1 else q @ coef
-    return SensorSelection(
-        locations=tuple(chosen),
-        components=s,
-        dof_per_component=dof,
-        method=method,
-        step_gains=tuple(gains),
-    )
+    results: list[SensorSelection | ExhaustionError] = []
+    for b in range(batch):
+        if b in exhausted:
+            results.append(exhausted[b])
+            continue
+        results.append(SensorSelection(
+            locations=tuple(int(c[b]) for c in chosen),
+            components=s,
+            dof_per_component=dof,
+            method=method,
+            step_gains=tuple(float(g[b]) for g in gains),
+        ))
+    return results
+
+
+def _select_greedy(
+    stack: np.ndarray, sensors: int, s: int, method: str
+) -> list[SensorSelection]:
+    """``_greedy`` on a stack; raises the first member's ``ExhaustionError``."""
+    results = _greedy(stack, sensors, s, method)
+    for result in results:
+        if isinstance(result, ExhaustionError):
+            raise result
+    return results
 
 
 def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
@@ -239,7 +271,7 @@ def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
         raise ValueError(f"sensor count {sensors} violates p <= r with r={r}")
     if sensors > n:
         raise ValueError(f"cannot select {sensors} rows from {n}")
-    return _greedy(matrix, sensors, 1, METHOD_SCALAR_GREEDY)
+    return _select_greedy(matrix[None], sensors, 1, METHOD_SCALAR_GREEDY)[0]
 
 
 def select_vector_greedy(
@@ -269,7 +301,7 @@ def select_vector_greedy(
     SelectionBudget(sensors=sensors, components=s, rank=r)
     if sensors > dof:
         raise ValueError(f"cannot select {sensors} of {dof} locations")
-    return _greedy(matrix, sensors, s, METHOD_VECTOR_GREEDY)
+    return _select_greedy(matrix[None], sensors, s, METHOD_VECTOR_GREEDY)[0]
 
 
 def select_random(

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: determinants
 by cofactor expansion, greedy step optimality by exhaustive enumeration over
 remaining candidates, in floating point or exactly in integer arithmetic
-(fraction-free Bareiss elimination of Gram matrices), and CSV files by plain
-line-by-line parsing.
+(fraction-free Bareiss elimination of Gram matrices), CSV files by plain
+line-by-line parsing, and the random-candidate study by its plain per-trial
+loop over the public selectors.
 """
 
 from __future__ import annotations
@@ -169,3 +170,51 @@ def write_matrix_lines(path, matrix) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in m:
             handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def random_benchmark_cells(cfg) -> dict:
+    """Reference random-candidate study: one trial, rank and method at a time.
+
+    Follows the documented seed rule, selects through the public selectors and
+    scores with ``np.linalg.slogdet``.  Returns ``{(method, r): (trials,
+    skipped, mean, std)}`` for an ``ExperimentConfig``.
+    """
+    from sensorplace import (
+        select_convex,
+        select_random,
+        select_scalar_greedy,
+        select_vector_greedy,
+    )
+
+    s, npc = cfg.components, cfg.n_per_component
+    values = {(m, r): [] for m in cfg.methods for r in cfg.r_values}
+    for trial in range(cfg.trials):
+        trial_seed = cfg.base_seed + trial
+        for r in cfg.r_values:
+            rng = np.random.default_rng(np.random.SeedSequence([trial_seed, 0, r]))
+            candidate = rng.standard_normal((s * npc, r))
+            p = r // s
+            for method in cfg.methods:
+                if method == "vector-greedy":
+                    locations = select_vector_greedy(candidate, p, components=s).locations
+                elif method == "random":
+                    seed = int(np.random.SeedSequence([trial_seed, 1, r]).generate_state(1)[0])
+                    locations = select_random(npc, p, seed=seed).locations
+                elif method == "convex":
+                    locations = select_convex(
+                        candidate, p, components=s, options=cfg.convex_options
+                    ).locations
+                else:
+                    k = int(method.rsplit("-", 1)[1])
+                    block = candidate[(k - 1) * npc : k * npc]
+                    locations = select_scalar_greedy(block, p).locations
+                rows = [loc + npc * j for loc in locations for j in range(s)]
+                sign, logdet = np.linalg.slogdet(candidate[rows])
+                if sign != 0 and np.isfinite(logdet):
+                    values[(method, r)].append(logdet)
+    cells = {}
+    for key, vals in values.items():
+        mean = float(np.mean(vals)) if vals else float("nan")
+        std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        cells[key] = (len(vals), cfg.trials - len(vals), mean, std)
+    return cells

@@ -253,10 +253,25 @@ class TestBenchmarkCommand:
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 4
 
 
-def test_loading_the_cli_does_not_import_scipy():
+def scipy_loaded_after(code):
+    """Run ``code`` in a fresh interpreter; whether ``scipy`` was imported."""
     src = str(Path(sensorplace.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, sensorplace.cli; print('scipy' in sys.modules)"
+    code += "\nimport sys; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_loading_the_cli_does_not_import_scipy():
+    assert not scipy_loaded_after("import sensorplace.cli")
+
+
+def test_greedy_selection_and_scoring_do_not_import_scipy():
+    code = (
+        "import numpy as np, sensorplace as sp\n"
+        "u = np.random.default_rng(0).standard_normal((40, 6))\n"
+        "for sel in (sp.select_vector_greedy(u, 3, components=2), sp.select_scalar_greedy(u, 6)):\n"
+        "    assert np.isfinite(sp.score_logdet(sp.build_model(u, sel)))"
+    )
+    assert not scipy_loaded_after(code)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sensorplace import experiments
 from sensorplace.evaluate import build_model, score_logdet
 from sensorplace.experiments import (
     METHOD_FULL_OBSERVATION,
@@ -11,6 +12,8 @@ from sensorplace.experiments import (
     run_reconstruction_study,
 )
 from sensorplace.pod import compute_pod
+
+from oracles import random_benchmark_cells
 
 
 class TestExperimentConfig:
@@ -92,6 +95,38 @@ class TestRandomBenchmark:
                                methods=("vector-greedy", "convex", "random"))
         report = run_random_benchmark(cfg)
         assert np.isfinite(report.cell("convex", 4).mean)
+
+    @pytest.mark.parametrize("chunk_trials", [None, 3])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(trials=19),
+            dict(components=3, r_values=(3, 6, 9), trials=5),
+            dict(r_values=(4, 6), n_per_component=12, trials=3,
+                 methods=("convex", "vector-greedy", "random")),
+            dict(components=1, r_values=(1, 5), trials=8),
+        ],
+    )
+    def test_matches_per_trial_reference(self, overrides, chunk_trials, monkeypatch):
+        # The study batches trials and scores by one stacked QR; the reference
+        # runs the plain per-trial loop through the public selectors.  With
+        # chunk_trials set, the byte budget holds that many candidates of the
+        # largest rank, so trial counts that are not a multiple of it end in
+        # a short chunk.
+        cfg = small_benchmark_config(**overrides)
+        if chunk_trials is not None:
+            n = cfg.components * cfg.n_per_component
+            budget = chunk_trials * 8 * n * max(cfg.r_values)
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+            assert experiments._trial_chunk(n, max(cfg.r_values)) == chunk_trials
+        report = run_random_benchmark(cfg)
+        expected = random_benchmark_cells(cfg)
+        assert len(report.cells) == len(expected)
+        for cell in report.cells:
+            trials, skipped, mean, std = expected[(cell.method, cell.r)]
+            assert (cell.trials, cell.skipped) == (trials, skipped)
+            assert cell.mean == pytest.approx(mean, rel=1e-12), (cell.method, cell.r)
+            assert cell.std == pytest.approx(std, rel=1e-9), (cell.method, cell.r)
 
 
     def test_step_gains_multiply_to_squared_determinant(self):

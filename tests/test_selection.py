@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sensorplace import build_model, score_logdet
 from sensorplace.selection import (
+    METHOD_VECTOR_GREEDY,
     ConvexOptions,
     ConvexSolverError,
     ExhaustionError,
@@ -15,6 +16,7 @@ from sensorplace.selection import (
     select_random,
     select_scalar_greedy,
     select_vector_greedy,
+    _greedy,
 )
 
 from oracles import exact_step_violations, exhaustive_step_argmax
@@ -221,6 +223,19 @@ class TestNumericalEdges:
                 sel = select_scalar_greedy(candidate, s * p)
                 assert exact_step_violations(candidate, list(sel.locations), 1) == []
 
+    @pytest.mark.parametrize("smallest", [5e-14, 2e-14])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_completed_selection_scores_finite(self, s, smallest):
+        # Column scales below the 1e-12 the exact-oracle test reaches: the
+        # kernel keeps every direction, so the score must be finite and
+        # ln |det C| must equal half the log of the product of step gains.
+        for index in range(3):
+            candidate = graded_candidate(s, index, smallest)
+            sel = select_vector_greedy(candidate, candidate.shape[1] // s, components=s)
+            score = score_logdet(build_model(candidate, sel))
+            assert np.isfinite(score)
+            assert np.prod(sel.step_gains) == pytest.approx(np.exp(2.0 * score), rel=1e-9)
+
     @settings(deadline=None, max_examples=60)
     @given(
         s=st.integers(1, 3),
@@ -244,6 +259,58 @@ class TestNumericalEdges:
         with pytest.raises(ExhaustionError) as info:
             select_scalar_greedy(candidate, k + 1)
         assert info.value.step == k + 1
+
+
+class TestBatchedKernel:
+    """The kernel selects on a stack of candidates exactly as on each alone."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        s=st.integers(1, 3),
+        picks=st.integers(1, 3),
+        spare_rank=st.integers(0, 3),
+        dof=st.integers(4, 12),
+        kinds=st.lists(st.sampled_from(["gaussian", "graded", "rank"]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_its_members(self, s, picks, spare_rank, dof, kinds, seed):
+        r = s * picks + spare_rank
+        rng = np.random.default_rng(seed)
+        members = []
+        for kind in kinds:
+            if kind == "gaussian":
+                members.append(rng.standard_normal((s * dof, r)))
+            elif kind == "graded":
+                smallest = 10.0 ** -rng.uniform(0.0, 12.0)
+                scales = np.logspace(0.0, np.log10(smallest), r)
+                members.append(rng.standard_normal((s * dof, r)) * scales)
+            else:
+                # rank s * k < s * picks: exhausts at step k + 1
+                k = int(rng.integers(0, picks))
+                scales = rng.uniform(1e-6, 1.0, size=s * k)
+                members.append(exact_rank_candidate(s * dof, r, scales, int(rng.integers(2**32))))
+        batch = _greedy(np.stack(members), picks, s, METHOD_VECTOR_GREEDY)
+        assert len(batch) == len(members)
+        for member, result in zip(members, batch):
+            if isinstance(result, ExhaustionError):
+                with pytest.raises(ExhaustionError) as info:
+                    select_vector_greedy(member, picks, components=s)
+                assert info.value.step == result.step
+            else:
+                alone = select_vector_greedy(member, picks, components=s)
+                assert result.locations == alone.locations
+                assert result.step_gains == alone.step_gains
+
+    def test_read_only_candidate_is_left_unchanged(self):
+        candidate = np.random.default_rng(55).standard_normal((2 * 30, 8))
+        candidate.flags.writeable = False
+        before = candidate.tobytes()
+        vector = select_vector_greedy(candidate, 4, components=2)
+        scalar = select_scalar_greedy(candidate, 8)
+        assert candidate.tobytes() == before
+        writable = candidate.copy()
+        assert select_vector_greedy(writable, 4, components=2) == vector
+        assert select_scalar_greedy(writable, 8) == scalar
 
 
 class TestScalarGreedyIsPivotedQR:
