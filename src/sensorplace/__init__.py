@@ -23,7 +23,6 @@ from .experiments import (
     run_random_benchmark,
     run_reconstruction_study,
 )
-from .linalg import NonConvergenceError, SingularMatrixError, log_abs_det, thin_svd
 from .pod import PODBasis, SnapshotMatrix, component_block, compute_pod, mode_amplitudes
 from .selection import (
     METHOD_CONVEX,
@@ -33,7 +32,6 @@ from .selection import (
     ConvexOptions,
     ConvexSolverError,
     ExhaustionError,
-    SelectionBudget,
     SensorSelection,
     select_convex,
     select_random,
@@ -44,11 +42,6 @@ from .selection import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    "NonConvergenceError",
-    "SingularMatrixError",
-    "log_abs_det",
-    "thin_svd",
     "PODBasis",
     "SnapshotMatrix",
     "component_block",
@@ -61,7 +54,6 @@ __all__ = [
     "ConvexOptions",
     "ConvexSolverError",
     "ExhaustionError",
-    "SelectionBudget",
     "SensorSelection",
     "select_convex",
     "select_random",

@@ -4,6 +4,11 @@ The reduced measurement matrix gathers the selected rows of the candidate
 (mode) matrix, mapping mode amplitudes to sparse observations.  Selections are
 scored by the log absolute determinant of that matrix, and amplitudes are
 recovered from observations by a column-wise least-squares solve.
+
+Observation noise is one standard-normal field over the full grid per seed
+(``_noise_field``), gathered at the selected rows, so every selection and
+the full-observation reference of the reconstruction study see the same
+noise at the same location.
 """
 
 from __future__ import annotations
@@ -129,14 +134,17 @@ def observe(
         raise ValueError("noise_sigma must be >= 0")
     rows = list(selection.selected_rows)
     centered = field_snapshots.data - basis.mean[:, None]
-    observations = centered[rows].copy()
+    observations = centered[rows]
     if noise_sigma > 0:
-        if seed is None:
-            raise ValueError("a seed is required when noise_sigma > 0")
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(field_snapshots.data.shape)
-        observations += noise_sigma * noise[rows]
+        observations += noise_sigma * _noise_field(field_snapshots, seed)[rows]
     return observations
+
+
+def _noise_field(field_snapshots: SnapshotMatrix, seed: int | None) -> np.ndarray:
+    """The standard-normal noise of ``seed`` over the full snapshot grid."""
+    if seed is None:
+        raise ValueError("a seed is required when noise_sigma > 0")
+    return np.random.default_rng(seed).standard_normal(field_snapshots.data.shape)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .evaluate import build_model, observe, reconstruct, reconstruction_error
+from .evaluate import _noise_field, build_model, reconstruct, reconstruction_error
 from .pod import SnapshotMatrix, compute_pod, mode_amplitudes
 from .selection import (
     METHOD_CONVEX,
@@ -293,18 +293,6 @@ def _select_batch(
     ]
 
 
-def _select_for_benchmark(
-    method: str,
-    candidate: np.ndarray,
-    cfg: ExperimentConfig,
-    p: int,
-    trial_seed: int,
-    r: int,
-) -> SensorSelection:
-    """One study method on one candidate: ``_select_batch`` on a stack of one."""
-    return _select_batch(method, candidate[None], cfg, p, (trial_seed,), r)[0]
-
-
 def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     """Score selection methods on Gaussian random candidate matrices.
 
@@ -351,11 +339,13 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
 def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> ExperimentReport:
     """Reconstruction error of each method on snapshot data, per rank.
 
-    For every r a POD basis is computed, each method selects p = r/s
-    locations, noisy observations are gathered and amplitudes recovered by
-    least squares; the recorded value is the relative amplitude error against
-    the full-state projection.  A ``full-observation`` reference row (least
-    squares over every grid row) is always included.
+    For every r a POD basis is computed and each method selects p = r/s
+    locations.  Each trial draws one noisy full-grid field, the same one
+    ``observe`` would give under the trial's noise seed; every method gathers
+    its rows from it and recovers amplitudes by least squares, and the
+    recorded value is the relative amplitude error against the full-state
+    projection.  A ``full-observation`` reference row (least squares over
+    every grid row of the same field) is always included.
     """
     if data.components != cfg.components:
         raise ValueError(
@@ -382,28 +372,28 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         centered = data.data - basis.mean[:, None]
         p = r // s
         fixed_selections = {
-            m: _select_for_benchmark(m, basis.modes, cfg, p, 0, r)
+            m: _select_batch(m, basis.modes[None], cfg, p, (0,), r)[0]
             for m in cfg.methods
             if m != METHOD_RANDOM
         }
         for trial in range(cfg.trials):
             trial_seed = cfg.base_seed + trial
-            noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
+            # Every method and the reference observe this one noisy field.
+            y_full = centered
+            if cfg.noise_sigma > 0:
+                noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
+                y_full = centered + cfg.noise_sigma * _noise_field(data, noise_seed)
             for method in cfg.methods:
                 if method == METHOD_RANDOM:
-                    sel = _select_for_benchmark(method, basis.modes, cfg, p, trial_seed, r)
+                    sel = _select_batch(method, basis.modes[None], cfg, p, (trial_seed,), r)[0]
                 else:
                     sel = fixed_selections[method]
-                y = observe(basis, sel, data, noise_sigma=cfg.noise_sigma, seed=noise_seed)
+                y = y_full[list(sel.selected_rows)]
                 result = reconstruct(build_model(basis, sel), y)
                 values[(method, r)].append(
                     reconstruction_error(true_amps, result.amplitudes)
                 )
             # Reference: observe every row, fit amplitudes by least squares.
-            y_full = centered.copy()
-            if cfg.noise_sigma > 0:
-                noise = np.random.default_rng(noise_seed).standard_normal(centered.shape)
-                y_full = y_full + cfg.noise_sigma * noise
             amps_full, _, _, _ = np.linalg.lstsq(basis.modes, y_full, rcond=None)
             values[(METHOD_FULL_OBSERVATION, r)].append(
                 reconstruction_error(true_amps, amps_full)

@@ -1,22 +1,19 @@
 """Dense linear-algebra kernels shared by the placement and reconstruction code.
 
 Everything operates on ``numpy.float64`` arrays; ``log_row_volume`` also
-takes a stack of matrices.  Singularity cutoffs are scale-relative, so
-orthonormal mode matrices and raw Gaussian candidate matrices behave
-identically under scaling: ``log_abs_det`` compares LU pivots with
-``DEGENERATE_RTOL`` times the largest absolute entry, ``log_row_volume``
-and the greedy selectors compare residual row norms with
-``RESIDUAL_RTOL * r * eps`` times the largest row norm.
+takes a stack of matrices.  One zero rule decides singularity everywhere: a
+residual norm at or below ``RESIDUAL_RTOL * r * eps`` times the largest row
+norm counts as zero.  It is scale-relative, so orthonormal mode matrices and
+raw Gaussian candidate matrices behave identically under scaling; the greedy
+selectors apply it to residual rows, ``log_row_volume`` and ``log_abs_det``
+to the diagonal of R in the QR factorization of ``C^T``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 __all__ = [
-    "DEGENERATE_RTOL",
     "RESIDUAL_RTOL",
     "SingularMatrixError",
     "NonConvergenceError",
@@ -25,9 +22,6 @@ __all__ = [
     "log_abs_det",
     "log_row_volume",
 ]
-
-# LU pivots at or below DEGENERATE_RTOL * max absolute entry are treated as zero.
-DEGENERATE_RTOL = 1e-13
 
 # A residual row norm at or below RESIDUAL_RTOL * r * eps times the largest
 # row norm counts as zero.  On exactly rank-k candidates the twice-applied
@@ -38,9 +32,9 @@ RESIDUAL_RTOL = 10.0
 
 
 class SingularMatrixError(ArithmeticError):
-    """A pivoted factorization hit a negligible pivot.
+    """A factorization hit a negligible pivot.
 
-    ``pivot_index`` is the 0-based elimination step whose pivot failed.
+    ``pivot_index`` is the 0-based index of the first pivot that counts as zero.
     """
 
     def __init__(self, message: str, pivot_index: int):
@@ -82,33 +76,36 @@ def thin_svd(m, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def log_abs_det(m) -> float:
-    """``ln |det(m)|`` via a pivoted LU factorization (sum of log abs pivots).
+    """``ln |det(m)|`` of a square matrix: ``log_row_volume`` of its rows.
 
     Raises
     ------
     SingularMatrixError
-        If some pivot is negligible relative to the matrix scale; the failing
-        elimination step is reported on the exception.
+        If some ``|R_kk|`` of the QR factorization ``m^T = Q R`` is zero under
+        the row-norm rule; the first such k is reported as ``pivot_index``.
     """
-    # SciPy is imported here, its only use, so loading the package stays cheap.
-    import scipy.linalg
-
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(m)
-    pivots = np.abs(np.diag(lu))
-    cutoff = DEGENERATE_RTOL * float(np.max(np.abs(m)))
-    bad = np.nonzero(pivots <= cutoff)[0]
-    if bad.size:
-        index = int(bad[0])
+    diag, zero = _r_diagonal(m)
+    if zero.any():
+        index = int(np.argmax(zero))
         raise SingularMatrixError(
-            f"matrix is singular within pivot threshold at elimination step {index}",
+            f"matrix is singular within the row-norm threshold at pivot {index}",
             pivot_index=index,
         )
-    return float(np.sum(np.log(pivots)))
+    return float(np.log(diag).sum())
+
+
+def _r_diagonal(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|R_kk|`` of ``C^T = Q R`` per matrix of a stack, and which count as zero."""
+    m, r = c.shape[-2:]
+    if m > r:
+        raise ValueError(f"rows span no volume in {r} dimensions: got shape {c.shape}")
+    diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"), axis1=-2, axis2=-1))
+    max_norm = np.sqrt(np.einsum("...ij,...ij->...i", c, c).max(axis=-1))
+    cutoff = RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
+    return diag, diag <= cutoff[..., None]
 
 
 def log_row_volume(c) -> np.ndarray:
@@ -121,13 +118,6 @@ def log_row_volume(c) -> np.ndarray:
     ``|R_kk|`` at or below ``RESIDUAL_RTOL * r * eps`` times its largest row
     norm (the greedy selectors' zero rule) gets ``-inf``.
     """
-    c = np.asarray(c, dtype=np.float64)
-    m, r = c.shape[-2:]
-    if m > r:
-        raise ValueError(f"rows span no volume in {r} dimensions: got shape {c.shape}")
-    diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"), axis1=-2, axis2=-1))
-    max_norm = np.sqrt(np.einsum("...ij,...ij->...i", c, c).max(axis=-1))
-    cutoff = RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
-    zero = diag <= cutoff[..., None]
+    diag, zero = _r_diagonal(np.asarray(c, dtype=np.float64))
     logs = np.log(np.where(zero, 1.0, diag)).sum(axis=-1)
     return np.where(zero.any(axis=-1), -np.inf, logs)

@@ -218,3 +218,76 @@ def random_benchmark_cells(cfg) -> dict:
         std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
         cells[key] = (len(vals), cfg.trials - len(vals), mean, std)
     return cells
+
+
+def reconstruction_study_cells(cfg, data) -> dict:
+    """Reference reconstruction study: one rank, method and trial at a time.
+
+    Follows the documented seed rule, selects through the public selectors,
+    observes through ``observe`` (one full-grid noise draw per method and
+    trial), recovers through ``reconstruct`` and fits the full-observation
+    reference by ``np.linalg.lstsq``.  Returns ``{(method, r): (trials,
+    skipped, mean, std)}`` for an ``ExperimentConfig`` and its snapshot data.
+    """
+    from sensorplace import (
+        METHOD_FULL_OBSERVATION,
+        SensorSelection,
+        build_model,
+        compute_pod,
+        mode_amplitudes,
+        observe,
+        reconstruct,
+        reconstruction_error,
+        select_convex,
+        select_random,
+        select_scalar_greedy,
+        select_vector_greedy,
+    )
+
+    s, npc, sigma = cfg.components, cfg.n_per_component, cfg.noise_sigma
+    values = {}
+    for r in cfg.r_values:
+        basis = compute_pod(data, r)
+        truth = mode_amplitudes(basis, data)
+        p = r // s
+
+        def noise_seed(trial):
+            tags = [cfg.base_seed + trial, 2, r]
+            return int(np.random.SeedSequence(tags).generate_state(1)[0])
+
+        for method in cfg.methods:
+            errors = values[(method, r)] = []
+            for trial in range(cfg.trials):
+                if method == "vector-greedy":
+                    sel = select_vector_greedy(basis, p)
+                elif method == "random":
+                    tags = [cfg.base_seed + trial, 1, r]
+                    seed = int(np.random.SeedSequence(tags).generate_state(1)[0])
+                    sel = select_random(npc, p, seed=seed, components=s)
+                elif method == "convex":
+                    sel = select_convex(basis, p, options=cfg.convex_options)
+                else:
+                    k = int(method.rsplit("-", 1)[1])
+                    block = basis.modes[(k - 1) * npc : k * npc]
+                    sel = SensorSelection(
+                        locations=select_scalar_greedy(block, p).locations,
+                        components=s,
+                        dof_per_component=npc,
+                        method="scalar-greedy",
+                    )
+                y = observe(basis, sel, data, noise_sigma=sigma, seed=noise_seed(trial))
+                amplitudes = reconstruct(build_model(basis, sel), y).amplitudes
+                errors.append(reconstruction_error(truth, amplitudes))
+        errors = values[(METHOD_FULL_OBSERVATION, r)] = []
+        for trial in range(cfg.trials):
+            y = data.data - basis.mean[:, None]
+            if sigma > 0:
+                y = y + sigma * np.random.default_rng(noise_seed(trial)).standard_normal(y.shape)
+            amplitudes = np.linalg.lstsq(basis.modes, y, rcond=None)[0]
+            errors.append(reconstruction_error(truth, amplitudes))
+    cells = {}
+    for key, vals in values.items():
+        mean = float(np.mean(vals))
+        std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        cells[key] = (len(vals), cfg.trials - len(vals), mean, std)
+    return cells

@@ -252,6 +252,24 @@ class TestBenchmarkCommand:
         cfg = self.config(tmp_path, "r_values = 4\n")
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 4
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_per_component = 1.5", "bad config value"),
+        ("components = two", "bad config value"),
+        ("r_values = 4,x", "bad config value"),
+        ("trials = x", "bad config value"),
+        ("base_seed = -", "bad config value"),
+        ("noise_sigma = abc", "bad config value"),
+        # Any comma list parses as method names; the config rejects unknown ones.
+        ("methods = vector-greedy,bogus", "unknown method 'bogus'"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, line, message):
+        key = line.split()[0]
+        text = "".join(f"{k} = {v}\n" for k, v in (("r_values", 4), ("base_seed", 1))
+                       if k != key)
+        cfg = self.config(tmp_path, text + line + "\n")
+        assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+
 
 def scipy_loaded_after(code):
     """Run ``code`` in a fresh interpreter; whether ``scipy`` was imported."""
@@ -273,5 +291,21 @@ def test_greedy_selection_and_scoring_do_not_import_scipy():
         "u = np.random.default_rng(0).standard_normal((40, 6))\n"
         "for sel in (sp.select_vector_greedy(u, 3, components=2), sp.select_scalar_greedy(u, 6)):\n"
         "    assert np.isfinite(sp.score_logdet(sp.build_model(u, sel)))"
+    )
+    assert not scipy_loaded_after(code)
+
+
+def test_the_library_does_not_import_scipy():
+    code = (
+        "import numpy as np, sensorplace as sp\n"
+        "from sensorplace import linalg\n"
+        "u = np.random.default_rng(0).standard_normal((40, 6))\n"
+        "assert np.isfinite(linalg.log_abs_det(u[:6]))\n"
+        "sp.select_convex(u, 3, components=2)\n"
+        "sp.select_random(20, 3, seed=1, components=2)\n"
+        "data = sp.generate_synthetic_flow(10, 2, true_rank=4, n_snapshots=12, seed=1)\n"
+        "cfg = sp.ExperimentConfig(r_values=(4,), base_seed=1, n_per_component=10,\n"
+        "                          trials=2, noise_sigma=0.1)\n"
+        "sp.run_reconstruction_study(cfg, data)"
     )
     assert not scipy_loaded_after(code)

@@ -6,14 +6,14 @@ from sensorplace.evaluate import build_model, score_logdet
 from sensorplace.experiments import (
     METHOD_FULL_OBSERVATION,
     ExperimentConfig,
-    _select_for_benchmark,
+    _select_batch,
     generate_synthetic_flow,
     run_random_benchmark,
     run_reconstruction_study,
 )
 from sensorplace.pod import compute_pod
 
-from oracles import random_benchmark_cells
+from oracles import random_benchmark_cells, reconstruction_study_cells
 
 
 class TestExperimentConfig:
@@ -138,7 +138,7 @@ class TestRandomBenchmark:
                                    components=s, trials=1)
             candidate = np.random.default_rng([90, s]).standard_normal((s * 40, 6))
             for method in cfg.methods + ("convex",):
-                sel = _select_for_benchmark(method, candidate, cfg, 6 // s, 5, 6)
+                sel = _select_batch(method, candidate[None], cfg, 6 // s, (5,), 6)[0]
                 if sel.step_gains is None:
                     continue
                 det_sq = np.exp(2.0 * score_logdet(build_model(candidate, sel)))
@@ -208,6 +208,27 @@ class TestReconstructionStudy:
         a = run_reconstruction_study(cfg, data)
         b = run_reconstruction_study(cfg, data)
         assert a.as_dict(include_wall_time=False) == b.as_dict(include_wall_time=False)
+
+    @pytest.mark.parametrize("s, r_values, methods", [
+        (2, (4, 8), ("vector-greedy", "scalar-greedy-component-2", "random", "convex")),
+        (3, (6,), ("convex", "scalar-greedy-component-1", "scalar-greedy-component-3",
+                   "random", "vector-greedy")),
+    ])
+    def test_matches_per_method_reference(self, s, r_values, methods):
+        # The study draws one noise field per trial and rank for all methods;
+        # the reference observes through the public observe, one method at a
+        # time.  Both give each element the same centered value plus noise.
+        data = generate_synthetic_flow(40, s, true_rank=10, n_snapshots=30, seed=17,
+                                       noise_sigma=0.01)
+        cfg = ExperimentConfig(r_values=r_values, base_seed=31, components=s,
+                               n_per_component=40, trials=3, methods=methods,
+                               noise_sigma=0.05)
+        report = run_reconstruction_study(cfg, data)
+        expected = reconstruction_study_cells(cfg, data)
+        assert len(report.cells) == len(expected)
+        for cell in report.cells:
+            got = (cell.trials, cell.skipped, cell.mean, cell.std)
+            assert got == expected[(cell.method, cell.r)], (cell.method, cell.r)
 
     def test_data_shape_must_match_config(self):
         data = generate_synthetic_flow(30, 2, true_rank=8, n_snapshots=40, seed=16)

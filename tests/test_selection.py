@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorplace import build_model, score_logdet
+from sensorplace import build_model, linalg, score_logdet
 from sensorplace.selection import (
     METHOD_VECTOR_GREEDY,
     ConvexOptions,
@@ -235,6 +235,9 @@ class TestNumericalEdges:
             score = score_logdet(build_model(candidate, sel))
             assert np.isfinite(score)
             assert np.prod(sel.step_gains) == pytest.approx(np.exp(2.0 * score), rel=1e-9)
+            # The public determinant follows the same zero rule on square C.
+            c = build_model(candidate, sel).c
+            assert linalg.log_abs_det(c) == pytest.approx(score, rel=1e-12)
 
     @settings(deadline=None, max_examples=60)
     @given(
