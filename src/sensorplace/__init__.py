@@ -29,7 +29,6 @@ from .selection import (
     METHOD_RANDOM,
     METHOD_SCALAR_GREEDY,
     METHOD_VECTOR_GREEDY,
-    ConvexOptions,
     ConvexSolverError,
     ExhaustionError,
     SensorSelection,
@@ -51,7 +50,6 @@ __all__ = [
     "METHOD_RANDOM",
     "METHOD_SCALAR_GREEDY",
     "METHOD_VECTOR_GREEDY",
-    "ConvexOptions",
     "ConvexSolverError",
     "ExhaustionError",
     "SensorSelection",

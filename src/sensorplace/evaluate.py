@@ -3,7 +3,8 @@
 The reduced measurement matrix gathers the selected rows of the candidate
 (mode) matrix, mapping mode amplitudes to sparse observations.  Selections are
 scored by the log absolute determinant of that matrix, and amplitudes are
-recovered from observations by a column-wise least-squares solve.
+recovered from observations by a column-wise least-squares solve; both call
+the matrix singular under the same zero rule (``linalg``).
 
 Observation noise is one standard-normal field over the full grid per seed
 (``_noise_field``), gathered at the selected rows, so every selection and
@@ -121,7 +122,8 @@ def observe(
     mean-subtracted snapshot ``t`` (the mean convention comes from ``basis``).
     With ``noise_sigma > 0`` i.i.d. Gaussian sensor noise is added; the noise
     field is drawn over the full grid and then gathered, so two selections
-    observing the same location under the same seed see the same noise.
+    observing the same location under the same seed see the same noise.  A
+    NaN, infinite or negative ``noise_sigma`` raises ``ValueError``.
     """
     if field_snapshots.n_dof != basis.n_dof or field_snapshots.components != basis.components:
         raise ValueError(
@@ -130,14 +132,18 @@ def observe(
         )
     if basis.n_dof != selection.components * selection.dof_per_component:
         raise ValueError("selection does not match basis dimensions")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    _check_noise_sigma(noise_sigma)
     rows = list(selection.selected_rows)
-    centered = field_snapshots.data - basis.mean[:, None]
-    observations = centered[rows]
+    observations = field_snapshots.data[rows] - basis.mean[rows, None]
     if noise_sigma > 0:
         observations += noise_sigma * _noise_field(field_snapshots, seed)[rows]
     return observations
+
+
+def _check_noise_sigma(noise_sigma: float) -> None:
+    """Reject a noise level that is NaN, infinite or negative."""
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
 def _noise_field(field_snapshots: SnapshotMatrix, seed: int | None) -> np.ndarray:
@@ -159,9 +165,10 @@ class ReconstructionResult:
 def reconstruct(model: MeasurementModel, observations) -> ReconstructionResult:
     """Column-wise least-squares recovery of mode amplitudes.
 
-    Solves ``C x = y`` per observation column; for a square nonsingular C this
-    is exactly ``C^-1 y``.  Rank deficiency of C is flagged on the result and
-    the minimum-norm solution is returned.
+    Solves ``C x = y`` per observation column by ``np.linalg.lstsq``; for a
+    square nonsingular C this is exactly ``C^-1 y``.  ``rank_deficient`` comes
+    from the package's one zero rule, the one under which ``score_logdet``
+    gives ``-inf``; the minimum-norm solution is still returned.
     """
     y = linalg.as_matrix(observations, name="observations")
     c = model.c
@@ -169,12 +176,12 @@ def reconstruct(model: MeasurementModel, observations) -> ReconstructionResult:
         raise ValueError(
             f"observations have {y.shape[0]} rows, model expects {c.shape[0]}"
         )
-    amplitudes, _, rank, _ = np.linalg.lstsq(c, y, rcond=None)
+    amplitudes = np.linalg.lstsq(c, y, rcond=None)[0]
     residuals = np.linalg.norm(c @ amplitudes - y, axis=0)
     return ReconstructionResult(
         amplitudes=amplitudes,
         residual_norms=residuals,
-        rank_deficient=int(rank) < min(c.shape),
+        rank_deficient=bool(linalg._r_diagonal(c)[1].any()),
     )
 
 

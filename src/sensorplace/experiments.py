@@ -21,19 +21,20 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .evaluate import _noise_field, build_model, reconstruct, reconstruction_error
+from .evaluate import (
+    _check_noise_sigma, _noise_field, build_model, reconstruct, reconstruction_error
+)
 from .pod import SnapshotMatrix, compute_pod, mode_amplitudes
 from .selection import (
     METHOD_CONVEX,
     METHOD_RANDOM,
     METHOD_SCALAR_GREEDY,
     METHODS,
-    ConvexOptions,
     SensorSelection,
     _select_greedy,
     select_convex,
@@ -112,7 +113,6 @@ class ExperimentConfig:
     trials: int = 100
     methods: tuple[str, ...] | None = None
     noise_sigma: float = 0.0
-    convex_options: ConvexOptions = field(default_factory=ConvexOptions)
 
     def __post_init__(self):
         object.__setattr__(self, "r_values", tuple(int(r) for r in self.r_values))
@@ -123,8 +123,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be a non-negative integer")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        _check_noise_sigma(self.noise_sigma)
         if not self.r_values:
             raise ValueError("r_values must be non-empty")
         for r in self.r_values:
@@ -275,9 +274,7 @@ def _select_batch(
             for seed in trial_seeds
         ]
     if base == METHOD_CONVEX:
-        return [
-            select_convex(c, p, components=s, options=cfg.convex_options) for c in candidates
-        ]
+        return [select_convex(c, p, components=s) for c in candidates]
     if component is None:
         return _select_greedy(candidates, p, s, base)
     block = candidates[:, (component - 1) * npc : component * npc]
@@ -436,8 +433,7 @@ def generate_synthetic_flow(
         raise ValueError(
             f"need n_snapshots >= {2 * true_rank + 1} for {true_rank} distinct frequencies"
         )
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    _check_noise_sigma(noise_sigma)
     rng = np.random.default_rng(seed)
     structures, _ = np.linalg.qr(rng.standard_normal((n, true_rank)))
     t = np.arange(n_snapshots)

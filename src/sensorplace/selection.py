@@ -36,7 +36,6 @@ __all__ = [
     "METHODS",
     "ExhaustionError",
     "ConvexSolverError",
-    "ConvexOptions",
     "SensorSelection",
     "SelectionBudget",
     "select_scalar_greedy",
@@ -74,6 +73,9 @@ class SensorSelection:
     ``locations`` are 0-based location indices in ``[0, dof_per_component)``.
     ``selected_rows`` lists, per location in selection order, the s stacked
     rows ``loc + dof_per_component * j`` for components ``j = 0..s-1``.
+    ``relaxation_objective`` (convex only) is half of ``ln det`` of the
+    ridged relaxation optimum, so at a 0/1 weight vector on a square budget
+    it is ``score_logdet`` of the pick up to the ridge.
     """
 
     locations: tuple[int, ...]
@@ -123,18 +125,6 @@ class SelectionBudget:
                 f"budget violates s*p <= r: s={self.components}, "
                 f"p={self.sensors}, r={self.rank}"
             )
-
-
-@dataclass(frozen=True)
-class ConvexOptions:
-    """Tuning knobs for the projected-gradient relaxation solver."""
-
-    max_iters: int = 500
-    grad_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
-    min_step: float = 1e-14
 
 
 def _candidate_array(candidate, components: int | None) -> tuple[np.ndarray, int]:
@@ -322,6 +312,17 @@ def select_random(
     )
 
 
+# Projected gradient ascent in select_convex: the iteration cap, the
+# tolerance on the projected-gradient norm, the Armijo constant, the
+# backtracking factor, and the first and smallest trial steps.
+_CONVEX_MAX_ITERS = 500
+_CONVEX_GRAD_TOL = 1e-6
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_INITIAL_STEP = 1.0
+_MIN_STEP = 1e-14
+
+
 def _project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto ``{z : 0 <= z <= 1, sum(z) = total}``."""
     # sum(clip(x - tau, 0, 1)) is non-increasing in tau; bisect for the root.
@@ -336,26 +337,44 @@ def _project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     return np.clip(x - 0.5 * (lo + hi), 0.0, 1.0)
 
 
-def select_convex(
-    candidate,
-    sensors: int,
-    components: int | None = None,
-    options: ConvexOptions | None = None,
-) -> SensorSelection:
+def _relaxation_logdet(
+    matrix: np.ndarray, z: np.ndarray, s: int, ridge: np.ndarray
+) -> tuple[float, np.ndarray | None]:
+    """``ln det`` and Cholesky factor of ``info = sum_i z_i A_i^T A_i + ridge``.
+
+    A non-positive-definite ``info`` gives ``(-inf, None)``.
+    """
+    info = (matrix.T * np.tile(z, s)) @ matrix + ridge
+    try:
+        chol = np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        return -np.inf, None
+    return 2.0 * float(np.log(np.diagonal(chol)).sum()), chol
+
+
+def _relaxation_gradient(matrix: np.ndarray, chol: np.ndarray, s: int) -> np.ndarray:
+    """``tr(info^-1 A_i^T A_i) = ||L^-1 A_i^T||_F^2`` per location i."""
+    half = np.linalg.solve(chol, matrix.T)
+    return np.einsum("ij,ij->j", half, half).reshape(s, -1).sum(axis=0)
+
+
+def select_convex(candidate, sensors: int, components: int | None = None) -> SensorSelection:
     """Relax-and-round vector-sensor selection.
 
-    Solves ``maximize log det(sum_i z_i A_i^T A_i)`` over the capped simplex
-    ``z in [0, 1]^(n/s), sum z = p`` by projected gradient ascent with
-    backtracking line search (``A_i`` is the s x r row block of location i; a
-    small ridge keeps the objective finite while z is spread thin), then keeps
-    the p largest entries of z.  The relaxation optimum is stored on the
-    returned selection for diagnostics.
+    Solves ``maximize log det(sum_i z_i A_i^T A_i + ridge)`` over the capped
+    simplex ``z in [0, 1]^(n/s), sum z = p`` by projected gradient ascent with
+    Armijo backtracking (``A_i`` is the s x r row block of location i; the
+    ridge, ``1e-9 ||A||_F^2 / r`` times the identity, keeps the objective
+    finite while z is spread thin), then keeps the p largest entries of z,
+    ties to the lowest index.  Each trial iterate costs one product
+    ``A^T diag(w) A`` and one Cholesky factorization, in O(n r) memory.
+    ``relaxation_objective`` is half the optimum, in ``score_logdet`` units.
 
     Raises
     ------
     ConvexSolverError
-        If the projected-gradient norm has not dropped to ``options.grad_tol``
-        within ``options.max_iters`` iterations.
+        If the projected-gradient norm has not dropped to 1e-6 within 500
+        iterations.
     """
     matrix, s = _candidate_array(candidate, components)
     n, r = matrix.shape
@@ -363,59 +382,37 @@ def select_convex(
     SelectionBudget(sensors=sensors, components=s, rank=r)
     if sensors > dof:
         raise ValueError(f"cannot select {sensors} of {dof} locations")
-    opts = options or ConvexOptions()
-
-    # Per-location Gram contributions A_i^T A_i, shape (dof, r, r).
-    blocks = matrix.reshape(s, dof, r).transpose(1, 0, 2)
-    grams = np.einsum("lka,lkb->lab", blocks, blocks)
-    trace_scale = float(np.trace(grams.sum(axis=0))) / r
+    trace_scale = float(np.einsum("ij,ij->", matrix, matrix)) / r
     if trace_scale <= 0.0:
         raise ValueError("candidate matrix is identically zero")
     ridge = 1e-9 * trace_scale * np.eye(r)
 
-    def objective(z: np.ndarray) -> float:
-        info = np.einsum("l,lab->ab", z, grams) + ridge
-        sign, value = np.linalg.slogdet(info)
-        return value if sign > 0 else -np.inf
-
-    def gradient(z: np.ndarray) -> np.ndarray:
-        info = np.einsum("l,lab->ab", z, grams) + ridge
-        inv = np.linalg.inv(info)
-        return np.einsum("ab,lab->l", inv, grams)
-
     z = _project_capped_simplex(np.full(dof, sensors / dof), float(sensors))
-    f_curr = objective(z)
-    step = opts.initial_step
-    pg_norm = np.inf
-    converged = False
-    for _ in range(opts.max_iters):
-        grad = gradient(z)
+    f_curr, chol = _relaxation_logdet(matrix, z, s, ridge)
+    step = _INITIAL_STEP
+    # Pass k tests the iterate after k steps, up to _CONVEX_MAX_ITERS steps.
+    for _ in range(_CONVEX_MAX_ITERS + 1):
+        grad = _relaxation_gradient(matrix, chol, s)
         pg_norm = float(np.linalg.norm(_project_capped_simplex(z + grad, float(sensors)) - z))
-        if pg_norm <= opts.grad_tol:
-            converged = True
+        if pg_norm <= _CONVEX_GRAD_TOL:
             break
         t = step
         while True:
             z_new = _project_capped_simplex(z + t * grad, float(sensors))
-            f_new = objective(z_new)
+            f_new, chol_new = _relaxation_logdet(matrix, z_new, s, ridge)
             direction = z_new - z
-            if f_new >= f_curr + opts.armijo_c * float(grad @ direction):
+            if f_new >= f_curr + _ARMIJO_C * float(grad @ direction):
                 break
-            t *= opts.backtrack
-            if t < opts.min_step:
-                z_new, f_new = z, f_curr
+            t *= _BACKTRACK
+            if t < _MIN_STEP:
+                z_new, f_new, chol_new = z, f_curr, chol
                 break
-        z, f_curr = z_new, f_new
-        step = min(t / opts.backtrack, opts.initial_step)
+        z, f_curr, chol = z_new, f_new, chol_new
+        step = min(t / _BACKTRACK, _INITIAL_STEP)
     else:
-        pg_norm = float(
-            np.linalg.norm(_project_capped_simplex(z + gradient(z), float(sensors)) - z)
-        )
-        converged = pg_norm <= opts.grad_tol
-    if not converged:
         raise ConvexSolverError(
             f"projected-gradient norm {pg_norm:.3e} above tolerance "
-            f"{opts.grad_tol:.1e} after {opts.max_iters} iterations",
+            f"{_CONVEX_GRAD_TOL:.1e} after {_CONVEX_MAX_ITERS} iterations",
             gradient_norm=pg_norm,
         )
 
@@ -427,5 +424,5 @@ def select_convex(
         components=s,
         dof_per_component=dof,
         method=METHOD_CONVEX,
-        relaxation_objective=f_curr,
+        relaxation_objective=0.5 * f_curr,
     )

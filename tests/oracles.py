@@ -201,9 +201,7 @@ def random_benchmark_cells(cfg) -> dict:
                     seed = int(np.random.SeedSequence([trial_seed, 1, r]).generate_state(1)[0])
                     locations = select_random(npc, p, seed=seed).locations
                 elif method == "convex":
-                    locations = select_convex(
-                        candidate, p, components=s, options=cfg.convex_options
-                    ).locations
+                    locations = select_convex(candidate, p, components=s).locations
                 else:
                     k = int(method.rsplit("-", 1)[1])
                     block = candidate[(k - 1) * npc : k * npc]
@@ -265,7 +263,7 @@ def reconstruction_study_cells(cfg, data) -> dict:
                     seed = int(np.random.SeedSequence(tags).generate_state(1)[0])
                     sel = select_random(npc, p, seed=seed, components=s)
                 elif method == "convex":
-                    sel = select_convex(basis, p, options=cfg.convex_options)
+                    sel = select_convex(basis, p)
                 else:
                     k = int(method.rsplit("-", 1)[1])
                     block = basis.modes[(k - 1) * npc : k * npc]

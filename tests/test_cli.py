@@ -145,16 +145,20 @@ class TestReconstructCommand:
         assert printed_error <= 1e-8
 
     def test_singular_square_matrix_exits_5(self, tmp_path, capsys):
-        modes = tmp_path / "modes.csv"
-        fileio.write_matrix(modes, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        sel = tmp_path / "sel.csv"
-        sel.write_text("rank,location,row_indices\n1,0,0\n2,1,1\n")
-        obs = tmp_path / "obs.csv"
-        fileio.write_matrix(obs, np.ones((2, 2)))
-        code = run(["reconstruct", str(modes), str(sel), str(obs),
-                    str(tmp_path / "amps.csv")])
-        assert code == 5
-        assert "condition" in capsys.readouterr().err
+        # The second C is singular under the zero rule of score_logdet, though
+        # not under the default rcond of np.linalg.lstsq.
+        for c in ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 2e-15]]):
+            modes = tmp_path / "modes.csv"
+            fileio.write_matrix(modes, np.vstack([c, [[0.0, 1.0]]]))
+            sel = tmp_path / "sel.csv"
+            sel.write_text("rank,location,row_indices\n1,0,0\n2,1,1\n")
+            obs = tmp_path / "obs.csv"
+            fileio.write_matrix(obs, np.ones((2, 2)))
+            out = tmp_path / "amps.csv"
+            code = run(["reconstruct", str(modes), str(sel), str(obs), str(out)])
+            assert code == 5
+            assert "condition" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_shape_mismatch_exits_3(self, tmp_path):
         modes = tmp_path / "modes.csv"
@@ -259,6 +263,7 @@ class TestBenchmarkCommand:
         ("trials = x", "bad config value"),
         ("base_seed = -", "bad config value"),
         ("noise_sigma = abc", "bad config value"),
+        ("noise_sigma = nan", "noise_sigma must be finite"),
         # Any comma list parses as method names; the config rejects unknown ones.
         ("methods = vector-greedy,bogus", "unknown method 'bogus'"),
     ])

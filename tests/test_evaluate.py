@@ -159,12 +159,25 @@ class TestObserve:
         c = observe(basis, narrow, snaps, noise_sigma=0.1, seed=7)
         # the shared location sees identical noise under both selections
         np.testing.assert_array_equal(a[[2, 3]], c)
+        # gathering before centering gives the bytes of the centered full grid
+        rows = list(wide.selected_rows)
+        centered = (snaps.data - basis.mean[:, None])[rows]
+        noise = np.random.default_rng(7).standard_normal(snaps.data.shape)[rows]
+        assert np.array_equal(observe(basis, wide, snaps), centered)
+        assert np.array_equal(a, centered + 0.1 * noise)
 
     def test_noise_requires_seed(self):
         basis, snaps, _ = tiny_basis(71)
         sel = selection_of([0], components=2, dof=4)
         with pytest.raises(ValueError):
             observe(basis, sel, snaps, noise_sigma=0.1)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, sigma):
+        basis, snaps, _ = tiny_basis(71)
+        sel = selection_of([0], components=2, dof=4)
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            observe(basis, sel, snaps, noise_sigma=sigma, seed=1)
 
 
 class TestReconstruct:
@@ -199,6 +212,14 @@ class TestReconstruct:
         model = build_model(candidate, sel)
         out = reconstruct(model, np.ones((2, 3)))
         assert out.rank_deficient
+
+    def test_rank_deficiency_uses_the_zero_rule_of_score_logdet(self):
+        # lstsq's default rcond keeps the 2e-15 pivot and returns amplitudes
+        # near 5e14; the row-norm zero rule calls C singular.
+        sel = selection_of([0, 1], components=1, dof=2)
+        model = build_model(np.array([[1.0, 0.0], [1.0, 2e-15]]), sel)
+        assert score_logdet(model) == -math.inf
+        assert reconstruct(model, np.ones((2, 1))).rank_deficient
 
     def test_row_count_mismatch(self):
         sel = selection_of(range(3), components=1, dof=3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(r_values=(4,), base_seed=-1, components=2,
                              n_per_component=10, trials=1)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            ExperimentConfig(r_values=(4,), base_seed=1, components=2,
+                             n_per_component=10, trials=1, noise_sigma=sigma)
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            generate_synthetic_flow(10, 2, true_rank=4, n_snapshots=12, seed=1,
+                                    noise_sigma=sigma)
 
     def test_budget_exceeding_locations_rejected(self):
         with pytest.raises(ValueError):

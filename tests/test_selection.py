@@ -1,13 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorplace import build_model, linalg, score_logdet
+from sensorplace import build_model, linalg, score_logdet, selection
 from sensorplace.selection import (
     METHOD_VECTOR_GREEDY,
-    ConvexOptions,
     ConvexSolverError,
     ExhaustionError,
     SelectionBudget,
@@ -364,6 +365,9 @@ class TestConvex:
         candidate = rng.standard_normal((8, 8))  # s=2, 4 locations, p=4
         sel = select_convex(candidate, 4, components=2)
         assert sorted(sel.locations) == [0, 1, 2, 3]
+        # z is all ones, so the relaxation is the pick's own ln |det C|
+        score = score_logdet(build_model(candidate, sel))
+        assert sel.relaxation_objective == pytest.approx(score, rel=1e-6)
 
     def test_only_spanning_location_selected(self):
         # s=2, r=2: all blocks collinear except location 2
@@ -388,13 +392,39 @@ class TestConvex:
         assert wins >= 90
         assert sel.relaxation_objective is not None
 
-    def test_nonconvergence_raises_with_gradient_norm(self):
+    def test_nonconvergence_raises_with_gradient_norm(self, monkeypatch):
         rng = np.random.default_rng(53)
         candidate = rng.standard_normal((2 * 25, 6))
-        opts = ConvexOptions(max_iters=1, grad_tol=1e-30)
+        monkeypatch.setattr(selection, "_CONVEX_MAX_ITERS", 1)
         with pytest.raises(ConvexSolverError) as info:
-            select_convex(candidate, 3, components=2, options=opts)
+            select_convex(candidate, 3, components=2)
         assert info.value.gradient_norm > 0.0
+
+    def test_objective_and_gradient_match_explicit_sums(self):
+        rng = np.random.default_rng(54)
+        s, dof, r = 2, 7, 5
+        a = rng.standard_normal((s * dof, r))
+        z = rng.uniform(0.0, 1.0, dof)
+        ridge = 1e-3 * np.eye(r)
+        blocks = [a[[i + dof * j for j in range(s)]] for i in range(dof)]
+        info = sum(zi * b.T @ b for zi, b in zip(z, blocks)) + ridge
+        value, chol = selection._relaxation_logdet(a, z, s, ridge)
+        sign, expected = np.linalg.slogdet(info)
+        assert sign > 0 and value == pytest.approx(expected, rel=1e-12)
+        traces = [np.trace(np.linalg.solve(info, b.T @ b)) for b in blocks]
+        np.testing.assert_allclose(selection._relaxation_gradient(a, chol, s), traces,
+                                   rtol=1e-10)
+        assert selection._relaxation_logdet(a, z, s, -1e3 * np.eye(r)) == (-np.inf, None)
+
+    def test_memory_is_linear_in_the_candidate(self):
+        candidate = np.random.default_rng(55).standard_normal((2 * 2000, 40))
+        tracemalloc.start()
+        try:
+            select_convex(candidate, 20, components=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * candidate.nbytes
 
     def test_zero_candidate_rejected(self):
         with pytest.raises(ValueError):
