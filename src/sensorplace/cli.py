@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio, linalg
 from .evaluate import build_model, reconstruct, reconstruction_error
 from .experiments import ExperimentConfig, run_random_benchmark
@@ -121,10 +119,7 @@ def _cmd_reconstruct(args) -> int:
     model = build_model(modes, selection)
     result = reconstruct(model, observations)
     if model.c.shape[0] == model.c.shape[1] and result.rank_deficient:
-        _fail(
-            "square measurement matrix is singular "
-            f"(condition number {np.linalg.cond(model.c):.3e})"
-        )
+        _fail(f"square measurement matrix is singular (condition number {model.cond:.3e})")
         return EXIT_NUMERICAL
     fileio.write_matrix(args.out_amplitudes, result.amplitudes)
     if args.true_amplitudes is not None:

@@ -1,10 +1,10 @@
 """Measurement models, log-det scoring and least-squares reconstruction.
 
-The reduced measurement matrix gathers the selected rows of the candidate
-(mode) matrix, mapping mode amplitudes to sparse observations.  Selections are
-scored by the log absolute determinant of that matrix, and amplitudes are
-recovered from observations by a column-wise least-squares solve; both call
-the matrix singular under the same zero rule (``linalg``).
+The reduced measurement matrix C gathers the selected rows of the candidate
+(mode) matrix, mapping mode amplitudes to sparse observations.  Each
+``MeasurementModel`` factors ``C^T = Q R`` once; the log-det score, the
+amplitude solve, the rank test and ``cond(C)`` all read that one factor,
+under the one zero rule of ``linalg``.
 
 Observation noise is one standard-normal field over the full grid per seed
 (``_noise_field``), gathered at the selected rows, so every selection and
@@ -14,7 +14,7 @@ noise at the same location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,35 +35,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Reduced measurement matrix (s*p x r) with its originating selection."""
+    """Reduced measurement matrix C (s*p x r) with its originating selection.
+
+    ``C^T = Q R`` is factored once, on construction.  ``_pivots`` holds the
+    ``|R_kk|`` and ``_zero`` marks those the package's zero rule calls zero.
+    """
 
     c: np.ndarray
     selection: SensorSelection
-    n_dof: int
-    rank: int
+    _q: np.ndarray = field(init=False, repr=False, compare=False)
+    _r: np.ndarray = field(init=False, repr=False, compare=False)
+    _pivots: np.ndarray = field(init=False, repr=False, compare=False)
+    _zero: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = linalg.as_matrix(self.c, name="measurement matrix")
-        object.__setattr__(self, "c", c)
-        rows = self.selection.selected_rows
-        if c.shape != (len(rows), self.rank):
-            raise ValueError(
-                f"measurement matrix shape {c.shape} does not match "
-                f"{len(rows)} selected rows x rank {self.rank}"
-            )
-        if len(rows) > self.rank:
-            raise ValueError(
-                f"underdetermined recovery: {len(rows)} observation rows "
-                f"exceed rank {self.rank}"
-            )
+        rows = len(self.selection.selected_rows)
+        if c.shape[0] != rows:
+            raise ValueError(f"measurement matrix shape {c.shape} does not match {rows} rows")
+        if rows > c.shape[1]:
+            raise ValueError(f"underdetermined recovery: {rows} rows exceed rank {c.shape[1]}")
+        q, r = np.linalg.qr(c.T)
+        pivots = np.abs(np.diagonal(r))
+        zero = linalg._zero_pivots(c, pivots)
+        for name, value in zip(("c", "_q", "_r", "_pivots", "_zero"), (c, q, r, pivots, zero)):
+            object.__setattr__(self, name, value)
 
     @property
-    def components(self) -> int:
-        return self.selection.components
-
-    @property
-    def sensor_count(self) -> int:
-        return self.selection.sensor_count
+    def cond(self) -> float:
+        """cond(C), from the singular values of R (at most r x r); ``inf`` if C is singular."""
+        sigma = np.linalg.svd(self._r, compute_uv=False)
+        return float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else np.inf
 
 
 def build_model(candidate, selection: SensorSelection) -> MeasurementModel:
@@ -81,32 +83,26 @@ def build_model(candidate, selection: SensorSelection) -> MeasurementModel:
         modes = candidate.modes
     else:
         modes = linalg.as_matrix(candidate, name="candidate matrix")
-    n, r = modes.shape
+    n = modes.shape[0]
     if n != selection.components * selection.dof_per_component:
         raise ValueError(
             f"candidate has {n} rows, selection implies "
             f"{selection.components * selection.dof_per_component}"
         )
-    rows = selection.selected_rows
-    return MeasurementModel(
-        c=modes[list(rows)].copy(),
-        selection=selection,
-        n_dof=n,
-        rank=r,
-    )
+    return MeasurementModel(c=modes[list(selection.selected_rows)], selection=selection)
 
 
 def score_logdet(model: MeasurementModel) -> float:
     """Log absolute determinant score of a measurement model.
 
     Returns ``ln |det C|`` for square C and ``0.5 ln det(C C^T)`` for wide
-    budgets (both equal the log hypervolume of the selected rows), from one
-    QR factorization of ``C^T`` (``linalg.log_row_volume``).  A selection
-    whose rows the greedy selectors' zero rule calls dependent yields
-    ``-inf`` instead of raising, so benchmark loops over random selections
-    can count and skip those draws.
+    budgets (both equal the log hypervolume of the selected rows), from the
+    diagonal of R in the model's ``C^T = Q R``, as ``linalg.log_row_volume``
+    computes it.  A selection whose rows the greedy selectors' zero rule calls
+    dependent yields ``-inf`` instead of raising, so benchmark loops over
+    random selections can count and skip those draws.
     """
-    return float(linalg.log_row_volume(model.c))
+    return float(linalg._log_volume(model._pivots, model._zero))
 
 
 def observe(
@@ -165,24 +161,23 @@ class ReconstructionResult:
 def reconstruct(model: MeasurementModel, observations) -> ReconstructionResult:
     """Column-wise least-squares recovery of mode amplitudes.
 
-    Solves ``C x = y`` per observation column by ``np.linalg.lstsq``; for a
-    square nonsingular C this is exactly ``C^-1 y``.  ``rank_deficient`` comes
-    from the package's one zero rule, the one under which ``score_logdet``
-    gives ``-inf``; the minimum-norm solution is still returned.
+    Solves ``C x = y`` per observation column from the model's ``C^T = Q R``:
+    ``x = Q R^-T y`` is the exact solution for square C and the minimum-norm
+    one for wide C.  ``rank_deficient`` is the model's zero rule, the one under
+    which ``score_logdet`` gives ``-inf``; then the minimum-norm least-squares
+    solution of ``np.linalg.lstsq`` is returned.
     """
     y = linalg.as_matrix(observations, name="observations")
     c = model.c
     if y.shape[0] != c.shape[0]:
-        raise ValueError(
-            f"observations have {y.shape[0]} rows, model expects {c.shape[0]}"
-        )
-    amplitudes = np.linalg.lstsq(c, y, rcond=None)[0]
+        raise ValueError(f"observations have {y.shape[0]} rows, model expects {c.shape[0]}")
+    rank_deficient = bool(model._zero.any())
+    if rank_deficient:
+        amplitudes = np.linalg.lstsq(c, y, rcond=None)[0]
+    else:
+        amplitudes = model._q @ np.linalg.solve(model._r.T, y)
     residuals = np.linalg.norm(c @ amplitudes - y, axis=0)
-    return ReconstructionResult(
-        amplitudes=amplitudes,
-        residual_norms=residuals,
-        rank_deficient=bool(linalg._r_diagonal(c)[1].any()),
-    )
+    return ReconstructionResult(amplitudes, residuals, rank_deficient)
 
 
 def reconstruction_error(true_amplitudes, reconstructed) -> float:

@@ -336,13 +336,14 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
 def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> ExperimentReport:
     """Reconstruction error of each method on snapshot data, per rank.
 
-    For every r a POD basis is computed and each method selects p = r/s
-    locations.  Each trial draws one noisy full-grid field, the same one
+    For every r a POD basis is computed; each fixed method selects p = r/s
+    locations and builds its measurement model once, the random method once
+    per trial.  Each trial draws one noisy full-grid field, the same one
     ``observe`` would give under the trial's noise seed; every method gathers
-    its rows from it and recovers amplitudes by least squares, and the
-    recorded value is the relative amplitude error against the full-state
-    projection.  A ``full-observation`` reference row (least squares over
-    every grid row of the same field) is always included.
+    its rows from it and recovers amplitudes with ``reconstruct``.  The value
+    is the relative amplitude error against the full-state projection.  The
+    ``full-observation`` row projects the same field onto the orthonormal
+    modes, which is its least-squares fit over every grid row.
     """
     if data.components != cfg.components:
         raise ValueError(
@@ -368,11 +369,12 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         true_amps = mode_amplitudes(basis, data)
         centered = data.data - basis.mean[:, None]
         p = r // s
-        fixed_selections = {
-            m: _select_batch(m, basis.modes[None], cfg, p, (0,), r)[0]
-            for m in cfg.methods
-            if m != METHOD_RANDOM
-        }
+
+        def model_of(method: str, trial_seed: int):
+            sel = _select_batch(method, basis.modes[None], cfg, p, (trial_seed,), r)[0]
+            return build_model(basis, sel)
+
+        fixed_models = {m: model_of(m, 0) for m in cfg.methods if m != METHOD_RANDOM}
         for trial in range(cfg.trials):
             trial_seed = cfg.base_seed + trial
             # Every method and the reference observe this one noisy field.
@@ -382,18 +384,15 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
                 y_full = centered + cfg.noise_sigma * _noise_field(data, noise_seed)
             for method in cfg.methods:
                 if method == METHOD_RANDOM:
-                    sel = _select_batch(method, basis.modes[None], cfg, p, (trial_seed,), r)[0]
+                    model = model_of(method, trial_seed)
                 else:
-                    sel = fixed_selections[method]
-                y = y_full[list(sel.selected_rows)]
-                result = reconstruct(build_model(basis, sel), y)
-                values[(method, r)].append(
-                    reconstruction_error(true_amps, result.amplitudes)
-                )
-            # Reference: observe every row, fit amplitudes by least squares.
-            amps_full, _, _, _ = np.linalg.lstsq(basis.modes, y_full, rcond=None)
+                    model = fixed_models[method]
+                result = reconstruct(model, y_full[list(model.selection.selected_rows)])
+                values[(method, r)].append(reconstruction_error(true_amps, result.amplitudes))
+            # Reference: observe every row; the least-squares fit onto the
+            # orthonormal modes is their projection.
             values[(METHOD_FULL_OBSERVATION, r)].append(
-                reconstruction_error(true_amps, amps_full)
+                reconstruction_error(true_amps, basis.modes.T @ y_full)
             )
     return _aggregate(
         "reconstruction",

@@ -5,8 +5,9 @@ takes a stack of matrices.  One zero rule decides singularity everywhere: a
 residual norm at or below ``RESIDUAL_RTOL * r * eps`` times the largest row
 norm counts as zero.  It is scale-relative, so orthonormal mode matrices and
 raw Gaussian candidate matrices behave identically under scaling; the greedy
-selectors apply it to residual rows, ``log_row_volume`` and ``log_abs_det``
-to the diagonal of R in the QR factorization of ``C^T``.
+selectors apply it to residual rows, and ``_zero_pivots`` to the diagonal of
+R in the QR factorization of ``C^T``, for ``log_row_volume``,
+``log_abs_det`` and the factor each ``evaluate.MeasurementModel`` holds.
 """
 
 from __future__ import annotations
@@ -103,9 +104,20 @@ def _r_diagonal(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m > r:
         raise ValueError(f"rows span no volume in {r} dimensions: got shape {c.shape}")
     diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"), axis1=-2, axis2=-1))
+    return diag, _zero_pivots(c, diag)
+
+
+def _zero_pivots(c: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The zero rule: which ``|R_kk|`` of ``C^T = Q R`` count as zero, per matrix."""
     max_norm = np.sqrt(np.einsum("...ij,...ij->...i", c, c).max(axis=-1))
-    cutoff = RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
-    return diag, diag <= cutoff[..., None]
+    cutoff = RESIDUAL_RTOL * c.shape[-1] * np.finfo(np.float64).eps * max_norm
+    return diag <= cutoff[..., None]
+
+
+def _log_volume(diag: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """``sum ln |R_kk|`` per matrix, ``-inf`` where some pivot counts as zero."""
+    logs = np.log(np.where(zero, 1.0, diag)).sum(axis=-1)
+    return np.where(zero.any(axis=-1), -np.inf, logs)
 
 
 def log_row_volume(c) -> np.ndarray:
@@ -118,6 +130,4 @@ def log_row_volume(c) -> np.ndarray:
     ``|R_kk|`` at or below ``RESIDUAL_RTOL * r * eps`` times its largest row
     norm (the greedy selectors' zero rule) gets ``-inf``.
     """
-    diag, zero = _r_diagonal(np.asarray(c, dtype=np.float64))
-    logs = np.log(np.where(zero, 1.0, diag)).sum(axis=-1)
-    return np.where(zero.any(axis=-1), -np.inf, logs)
+    return _log_volume(*_r_diagonal(np.asarray(c, dtype=np.float64)))

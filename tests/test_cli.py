@@ -146,7 +146,7 @@ class TestReconstructCommand:
 
     def test_singular_square_matrix_exits_5(self, tmp_path, capsys):
         # The second C is singular under the zero rule of score_logdet, though
-        # not under the default rcond of np.linalg.lstsq.
+        # not under NumPy's default rcond rank rule.
         for c in ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 2e-15]]):
             modes = tmp_path / "modes.csv"
             fileio.write_matrix(modes, np.vstack([c, [[0.0, 1.0]]]))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sensorplace import linalg
 from sensorplace.evaluate import (
     build_model,
     observe,
@@ -51,6 +54,18 @@ class TestBuildModel:
         sel = selection_of([0, 1, 2], components=1, dof=4)
         with pytest.raises(ValueError):
             build_model(np.eye(4, 2), sel)
+
+    @pytest.mark.parametrize("m, r", [(1, 1), (4, 4), (9, 9), (1, 5), (3, 7), (6, 8)])
+    def test_cond_matches_numpy_on_full_rank(self, m, r):
+        rng = np.random.default_rng(100 * m + r)
+        for _ in range(5):
+            model = build_model(rng.standard_normal((m, r)), selection_of(range(m), 1, m))
+            expected = np.linalg.cond(model.c)
+            assert model.cond == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_cond_of_singular_is_infinite(self):
+        model = build_model(np.array([[1.0, 0.0], [1.0, 0.0]]), selection_of([0, 1], 1, 2))
+        assert model.cond == math.inf
 
 
 class TestScoreLogdet:
@@ -214,12 +229,47 @@ class TestReconstruct:
         assert out.rank_deficient
 
     def test_rank_deficiency_uses_the_zero_rule_of_score_logdet(self):
-        # lstsq's default rcond keeps the 2e-15 pivot and returns amplitudes
-        # near 5e14; the row-norm zero rule calls C singular.
+        # A rank rule with NumPy's default rcond keeps the 2e-15 pivot, and a
+        # solve on it returns amplitudes near 5e14; the row-norm zero rule
+        # calls C singular.
         sel = selection_of([0, 1], components=1, dof=2)
         model = build_model(np.array([[1.0, 0.0], [1.0, 2e-15]]), sel)
         assert score_logdet(model) == -math.inf
         assert reconstruct(model, np.ones((2, 1))).rank_deficient
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        m=st.integers(1, 6),
+        spare_rank=st.integers(0, 3),
+        kind=st.sampled_from(["gaussian", "graded", "rank-deficient"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_factor_scores_flags_and_solves(self, m, spare_rank, kind, seed):
+        # Square and wide C: Gaussian, columns graded down to 1e-12, or with
+        # one row exactly twice another (or zero when m = 1).
+        r = m + spare_rank
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((m, r))
+        if kind == "graded":
+            c *= np.logspace(0.0, -rng.uniform(0.0, 12.0), r)
+        elif kind == "rank-deficient":
+            if m == 1:
+                c[0] = 0.0
+            else:
+                i, j = rng.choice(m, size=2, replace=False)
+                c[j] = 2.0 * c[i]
+        model = build_model(c, selection_of(range(m), components=1, dof=m))
+        y = rng.standard_normal((m, 3))
+        out = reconstruct(model, y)
+        score = score_logdet(model)
+        assert score == float(linalg.log_row_volume(model.c))
+        assert out.rank_deficient == (score == -math.inf)
+        if kind == "rank-deficient":
+            assert out.rank_deficient
+        if not out.rank_deficient:
+            expected = np.linalg.lstsq(c, y, rcond=None)[0]
+            err = np.linalg.norm(out.amplitudes - expected) / np.linalg.norm(expected)
+            assert err <= 1e-13 * np.linalg.cond(c)
 
     def test_row_count_mismatch(self):
         sel = selection_of(range(3), components=1, dof=3)

@@ -229,6 +229,8 @@ class TestReconstructionStudy:
         # The study draws one noise field per trial and rank for all methods;
         # the reference observes through the public observe, one method at a
         # time.  Both give each element the same centered value plus noise.
+        # The study's full-observation fit is the projection onto the
+        # orthonormal modes, the reference's is lstsq: equal up to rounding.
         data = generate_synthetic_flow(40, s, true_rank=10, n_snapshots=30, seed=17,
                                        noise_sigma=0.01)
         cfg = ExperimentConfig(r_values=r_values, base_seed=31, components=s,
@@ -238,8 +240,33 @@ class TestReconstructionStudy:
         expected = reconstruction_study_cells(cfg, data)
         assert len(report.cells) == len(expected)
         for cell in report.cells:
-            got = (cell.trials, cell.skipped, cell.mean, cell.std)
-            assert got == expected[(cell.method, cell.r)], (cell.method, cell.r)
+            key = (cell.method, cell.r)
+            trials, skipped, mean, std = expected[key]
+            if cell.method != METHOD_FULL_OBSERVATION:
+                assert (cell.trials, cell.skipped, cell.mean, cell.std) == expected[key], key
+                continue
+            assert (cell.trials, cell.skipped) == (trials, skipped), key
+            assert cell.mean == pytest.approx(mean, rel=1e-12), key
+            assert cell.std == pytest.approx(std, rel=1e-9), key
+
+    def test_builds_each_fixed_model_once_per_rank(self, monkeypatch):
+        # One model per fixed method and r, one per random trial and r.
+        built = []
+
+        def counting_build_model(candidate, selection):
+            built.append(selection.method)
+            return build_model(candidate, selection)
+
+        monkeypatch.setattr(experiments, "build_model", counting_build_model)
+        data = generate_synthetic_flow(30, 2, true_rank=8, n_snapshots=40, seed=18)
+        cfg = ExperimentConfig(r_values=(4, 6), base_seed=5, components=2,
+                               n_per_component=30, trials=4, noise_sigma=0.05,
+                               methods=("vector-greedy", "random", "convex",
+                                        "scalar-greedy-component-2"))
+        run_reconstruction_study(cfg, data)
+        assert sorted(built) == sorted(
+            ["vector-greedy", "convex", "scalar-greedy"] * 2 + ["random"] * 4 * 2
+        )
 
     def test_data_shape_must_match_config(self):
         data = generate_synthetic_flow(30, 2, true_rank=8, n_snapshots=40, seed=16)
