@@ -118,8 +118,8 @@ def _cmd_reconstruct(args) -> int:
     selection = _selection_from_entries(entries, modes.shape[0])
     model = build_model(modes, selection)
     result = reconstruct(model, observations)
-    if model.c.shape[0] == model.c.shape[1] and result.rank_deficient:
-        _fail(f"square measurement matrix is singular (condition number {model.cond:.3e})")
+    if result.rank_deficient:
+        _fail(f"measurement matrix is rank-deficient (condition number {model.cond:.3e})")
         return EXIT_NUMERICAL
     fileio.write_matrix(args.out_amplitudes, result.amplitudes)
     if args.true_amplitudes is not None:

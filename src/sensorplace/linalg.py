@@ -5,7 +5,7 @@ takes a stack of matrices.  One zero rule decides singularity everywhere: a
 residual norm at or below ``RESIDUAL_RTOL * r * eps`` times the largest row
 norm counts as zero.  It is scale-relative, so orthonormal mode matrices and
 raw Gaussian candidate matrices behave identically under scaling; the greedy
-selectors apply it to residual rows, and ``_zero_pivots`` to the diagonal of
+selectors apply it to residual pivots, and ``_zero_pivots`` to the diagonal of
 R in the QR factorization of ``C^T``, for ``log_row_volume``,
 ``log_abs_det`` and the factor each ``evaluate.MeasurementModel`` holds.
 """
@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 # A residual row norm at or below RESIDUAL_RTOL * r * eps times the largest
-# row norm counts as zero.  On exactly rank-k candidates the twice-applied
-# greedy projection leaves residuals below r * eps * max row norm, so the
+# row norm counts as zero.  On exactly rank-k candidates the greedy's twice
+# projected explicit residuals fall below r * eps * max row norm, so the
 # factor 10 separates those from genuine directions, while full-rank
 # candidates with column scales down to 1e-12 keep every direction.
 RESIDUAL_RTOL = 10.0

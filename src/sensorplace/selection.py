@@ -3,20 +3,16 @@
 Four selectors over an n x r candidate matrix whose rows are stacked
 component-wise (component j of location i lives in row ``i + (n/s) * j``):
 
-* scalar greedy: pick the largest-norm row, project it out, repeat;
-* vector greedy: pick the location whose s co-located rows span the largest
-  hypervolume against everything already selected, project all s rows out
-  (scalar greedy is this kernel at s = 1);
+* vector greedy: pick the location whose s co-located rows add the largest
+  hypervolume to the rows already picked, repeat;
+* scalar greedy: the same with every row its own location (s = 1);
 * random: seeded uniform draw without replacement;
 * convex: round the continuous log-det relaxation solved by projected
   gradient ascent.
 
 Both greedy selectors run one kernel, ``_greedy``, on a stack of same-shaped
-candidates (the public selectors pass a stack of one; the random-candidate
-study passes a chunk of trials).  It projects every pick out of a working
-copy of each member and never writes the candidate.
-
-All argmax ties break to the lowest index so selections are reproducible.
+candidates.  It downdates each location's s x s residual Gram after every
+pick and never writes the candidate.  Argmax ties break to the lowest index.
 """
 
 from __future__ import annotations
@@ -73,9 +69,11 @@ class SensorSelection:
     ``locations`` are 0-based location indices in ``[0, dof_per_component)``.
     ``selected_rows`` lists, per location in selection order, the s stacked
     rows ``loc + dof_per_component * j`` for components ``j = 0..s-1``.
-    ``relaxation_objective`` (convex only) is half of ``ln det`` of the
-    ridged relaxation optimum, so at a 0/1 weight vector on a square budget
-    it is ``score_logdet`` of the pick up to the ridge.
+    ``step_gains`` (greedy only) are the squared volumes each pick added and
+    ``step_margins`` each winner's smallest pivot over the zero cutoff (both
+    squared norms).  ``relaxation_objective`` (convex only) is half of
+    ``ln det`` of the ridged relaxation optimum, so at a 0/1 weight vector on
+    a square budget it is ``score_logdet`` of the pick up to the ridge.
     """
 
     locations: tuple[int, ...]
@@ -83,6 +81,7 @@ class SensorSelection:
     dof_per_component: int
     method: str
     step_gains: tuple[float, ...] | None = None
+    step_margins: tuple[float, ...] | None = None
     relaxation_objective: float | None = None
 
     def __post_init__(self):
@@ -145,93 +144,103 @@ def _candidate_array(candidate, components: int | None) -> tuple[np.ndarray, int
     return matrix, s
 
 
+# Re-form a downdated pivot once it falls to sqrt(eps) * M * sqrt(its last explicit value),
+# M the largest row norm (it bounds the rounding of w = q^T A_i): LAPACK's xGEQP3/xLAQPS
+# norm-downdating rule (Drmac & Bujanovic 2008), which _ldl_pivots applies within a location.
+_RECOMPUTE_RATIO = np.sqrt(np.finfo(np.float64).eps)
+
+
+def _residual(flat: np.ndarray, q: np.ndarray, members: np.ndarray, locs: np.ndarray, s: int):
+    """Rows (m, r, s) of each (member, location) pair, projected twice off ``q[member]``."""
+    cols = locs[:, None] + (flat.shape[2] // s) * np.arange(s)
+    rows = flat[members[:, None], :, cols].swapaxes(1, 2)
+    basis = q[members]
+    for _ in range(2):
+        rows = rows - basis @ (basis.swapaxes(1, 2) @ rows)
+    return rows
+
+
+def _ldl_pivots(gram: dict, s: int, cut: np.ndarray) -> np.ndarray:
+    """LDL^T pivots (s, B, dof) in component order of the Grams ``gram[j, k]``, j <= k;
+    NaN (unknown) where elimination cancels one below sqrt(eps) of its diagonal entry."""
+    a = dict(gram)
+    for j in range(s):
+        safe = np.where(a[j, j] > cut, a[j, j], 1.0)
+        for k in range(j + 1, s):
+            for m in range(k, s):
+                a[k, m] = a[k, m] - a[j, k] / safe * a[j, m]
+    unknown = [a[j, j] < _RECOMPUTE_RATIO * gram[j, j] for j in range(s)]
+    return np.where(unknown, np.nan, np.stack([a[j, j] for j in range(s)]))
+
+
 def _greedy(
     stack: np.ndarray, sensors: int, s: int, method: str
 ) -> list[SensorSelection | ExhaustionError]:
-    """Greedy determinant maximization on a stack of candidates.
+    """Greedy determinant maximization on a stack (B, n, r) of candidates.
 
-    ``stack`` has shape (B, n, r); every member is a candidate of n/s
-    locations with s stacked rows each, and gets its own selection, or the
-    ``ExhaustionError`` it would raise, in the returned list.  Every step
-    scores each unselected location by the product of the squared norms of
-    its s working rows orthogonalized in component order, which is the
-    squared volume those rows add to the rows already picked.  The argmax
-    wins, and its orthonormalized rows Q are projected out of the member's
-    working copy by ``W -= (W Q) Q^T``, applied twice so the residual stays
-    orthogonal to the picked rows to working precision ("twice is enough").
-    The candidates themselves are only read.
+    Each member gets its selection, or the ``ExhaustionError`` it would raise.
+    A location scores the squared volume its s rows add to the picked rows,
+    the product of the LDL^T pivots of its residual Gram in component order
+    (Saito et al., arXiv:1911.08757).  A pick downdates the Grams by ``w w^T``,
+    ``w = q^T A_i`` for the winner's orthonormalized rows q: one read of the
+    candidate.  Only the winner (for q and its gain) and the locations the
+    ``_RECOMPUTE_RATIO`` test flags are re-formed from their rows.
     """
     batch, n, r = stack.shape
     dof = n // s
-    # The working copy is stored transposed: work[b, :, j, i] (column
-    # i + dof*j of flat[b]) is row i + dof*j of member b.  The long axis then
-    # runs over locations, so every elementwise step streams contiguous memory.
+    # flat[b, :, i + dof*j] is row i + dof*j of member b: per-location arrays are contiguous.
     flat = stack.transpose(0, 2, 1).copy()
-    work = flat.reshape(batch, r, s, dof)
-    max_norm = np.sqrt(np.einsum("brn,brn->bn", flat, flat).max(axis=1))
-    cutoff_sq = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
-    cut = cutoff_sq[:, None]
+    comp = flat.reshape(batch, r, s, dof)
+    gram = {(j, k): np.einsum("brl,brl->bl", comp[:, :, j], comp[:, :, k])
+            for j in range(s) for k in range(j, s)}
+    max_norm = np.sqrt(np.max([gram[j, j].max(axis=1) for j in range(s)], axis=0))[:, None]
+    cut = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
+    piv = _ldl_pivots(gram, s, cut)
+    limit = _RECOMPUTE_RATIO * max_norm * np.sqrt(np.maximum(piv, 0.0))
+    q = np.zeros((batch, r, 0))
     every = np.arange(batch)
     alive = np.ones((batch, dof), dtype=bool)
-    exhausted: dict[int, ExhaustionError] = {}
-    chosen: list[np.ndarray] = []
-    gains: list[np.ndarray] = []
+    failed = np.zeros(batch, dtype=int)  # the step a member exhausted at, or 0
+    chosen, gains, margins = [], [], []
     for step in range(1, sensors + 1):
-        # Orthogonalize each location's rows in component order; at s = 1
-        # this is the squared row norms of the working copy itself.
-        rows = work if s == 1 else work.copy()
-        norms_sq = np.empty((batch, s, dof))
-        for j in range(s):
-            norms_sq[:, j] = np.einsum("brl,brl->bl", rows[:, :, j], rows[:, :, j])
-            if j + 1 < s:
-                denom = np.where(norms_sq[:, j] > cut, norms_sq[:, j], 1.0)
-                coef = np.einsum("brkl,brl->bkl", rows[:, :, j + 1 :], rows[:, :, j])
-                rows[:, :, j + 1 :] -= (coef / denom[:, None])[:, None] * rows[:, :, j, None]
-        scores = np.prod(norms_sq, axis=1)
-        scores[(norms_sq <= cut[:, None]).any(axis=1)] = 0.0
+        stale = alive & ~(piv >= limit).all(axis=0)  # an unknown (NaN) pivot is stale
+        if stale.any():
+            members, locs = np.nonzero(stale)
+            rfac = np.linalg.qr(_residual(flat, q, members, locs, s), mode="r")
+            for (j, k), g in gram.items():
+                g[members, locs] = np.einsum("mi,mi->m", rfac[:, :, j], rfac[:, :, k])
+            piv[:, members, locs] = fresh = np.diagonal(rfac, axis1=1, axis2=2).T ** 2
+            limit[:, members, locs] = _RECOMPUTE_RATIO * max_norm[members, 0] * np.sqrt(fresh)
+        scores = np.prod(piv, axis=0)
+        scores[(piv <= cut).any(axis=0)] = 0.0
         scores[~alive] = -np.inf
         pick = np.argmax(scores, axis=1)
-        best = scores[every, pick]
-        norms = np.sqrt(norms_sq[every, :, pick])
-        if not (best > 0.0).all():
-            for b in np.flatnonzero(~(best > 0.0)):
-                exhausted.setdefault(b, ExhaustionError(
-                    f"all remaining locations are degenerate at step {step}", step=step
-                ))
-            if len(exhausted) == batch:
-                break
-            # An exhausted member projects nothing from here on.
-            norms[list(exhausted)] = np.inf
-        chosen.append(pick)
-        gains.append(best)
-        alive[every, pick] = False
-        if step == sensors:
+        failed[(failed == 0) & ~(scores[every, pick] > 0.0)] = step
+        if failed.all():
             break
-        # q[b]: the winner's orthonormalized rows as columns, shape (r, s).
-        q = rows[every, :, :, pick] / norms[:, None, :]
-        for _ in range(2):
-            coef = q.transpose(0, 2, 1) @ flat
-            # A matrix product with inner dimension 1 runs several times
-            # slower than the same outer product by broadcasting.
-            flat -= q * coef if s == 1 else q @ coef
-    results: list[SensorSelection | ExhaustionError] = []
-    for b in range(batch):
-        if b in exhausted:
-            results.append(exhausted[b])
-            continue
-        results.append(SensorSelection(
-            locations=tuple(int(c[b]) for c in chosen),
-            components=s,
-            dof_per_component=dof,
-            method=method,
-            step_gains=tuple(float(g[b]) for g in gains),
-        ))
-    return results
+        basis, rfac = np.linalg.qr(_residual(flat, q, every, pick, s))
+        chosen.append(pick)
+        gains.append(np.prod(np.diagonal(rfac, axis1=1, axis2=2) ** 2, axis=1))
+        margins.append(np.divide(piv[:, every, pick].min(axis=0), cut[:, 0],
+                                 out=np.full(batch, np.inf), where=cut[:, 0] > 0.0))
+        alive[every, pick] = False
+        if step < sensors:
+            basis[failed > 0] = 0.0  # an exhausted member downdates nothing more
+            q = np.concatenate((q, basis), axis=2)
+            w = (basis.swapaxes(1, 2) @ flat).reshape(batch, s, s, dof)
+            for (j, k), g in gram.items():
+                g -= np.einsum("bml,bml->bl", w[:, :, j], w[:, :, k])
+            piv = _ldl_pivots(gram, s, cut)
+    message = "all remaining locations are degenerate at step {}"
+    return [ExhaustionError(message.format(f), step=int(f)) if f else SensorSelection(
+        locations=tuple(int(c[b]) for c in chosen),
+        components=s, dof_per_component=dof, method=method,
+        step_gains=tuple(float(g[b]) for g in gains),
+        step_margins=tuple(float(m[b]) for m in margins),
+    ) for b, f in enumerate(failed)]
 
 
-def _select_greedy(
-    stack: np.ndarray, sensors: int, s: int, method: str
-) -> list[SensorSelection]:
+def _select_greedy(stack: np.ndarray, sensors: int, s: int, method: str) -> list[SensorSelection]:
     """``_greedy`` on a stack; raises the first member's ``ExhaustionError``."""
     results = _greedy(stack, sensors, s, method)
     for result in results:

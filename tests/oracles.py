@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: determinants
 by cofactor expansion, greedy step optimality by exhaustive enumeration over
 remaining candidates, in floating point or exactly in integer arithmetic
-(fraction-free Bareiss elimination of Gram matrices), CSV files by plain
+(fraction-free Bareiss elimination of Gram matrices), whole greedy runs by
+re-projecting every location from scratch at every step, CSV files by plain
 line-by-line parsing, and the random-candidate study by its plain per-trial
 loop over the public selectors.
 """
@@ -128,6 +129,52 @@ def exact_step_violations(
                 f"step {k + 1}: picked {loc}, exact maximum at {max(dets, key=dets.get)}"
             )
     return problems
+
+
+def explicit_greedy(candidate: np.ndarray, sensors: int, components: int, rtol: float):
+    """Reference greedy that re-projects every live location from scratch each step.
+
+    The rows picked so far get an orthonormal basis from one QR of their
+    transpose.  Each unpicked location's rows are projected twice onto its
+    complement and orthogonalized in component order by Gram-Schmidt; the
+    score is the product of their squared norms, or 0 once one of them is at
+    or below ``(rtol * r * eps * largest row norm)^2``.  Ties go to the lowest
+    index.  Returns ``(locations, gains, step)``, where ``step`` is the 1-based
+    step at which every live location scored 0 (the selection stops there),
+    or None.
+    """
+    a = np.asarray(candidate, dtype=np.float64)
+    n, r = a.shape
+    dof = n // components
+    cutoff_sq = (rtol * r * np.finfo(np.float64).eps * np.linalg.norm(a, axis=1).max()) ** 2
+    locations: list[int] = []
+    gains: list[float] = []
+    for step in range(1, sensors + 1):
+        picked = [row for loc in locations for row in location_rows(loc, dof, components)]
+        basis = np.linalg.qr(a[picked].T)[0] if picked else np.zeros((r, 0))
+        best_loc, best = -1, 0.0
+        for loc in range(dof):
+            if loc in locations:
+                continue
+            x = a[location_rows(loc, dof, components)].T.copy()
+            for _ in range(2):
+                x -= basis @ (basis.T @ x)
+            score = 1.0
+            for j in range(components):
+                for i in range(j):
+                    x[:, j] -= (x[:, i] @ x[:, j]) / (x[:, i] @ x[:, i]) * x[:, i]
+                norm_sq = float(x[:, j] @ x[:, j])
+                if norm_sq <= cutoff_sq:
+                    score = 0.0
+                    break
+                score *= norm_sq
+            if score > best:
+                best_loc, best = loc, score
+        if best_loc < 0:
+            return locations, gains, step
+        locations.append(best_loc)
+        gains.append(best)
+    return locations, gains, None
 
 
 def read_matrix_lines(path, header: bool = False):

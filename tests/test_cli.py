@@ -160,6 +160,20 @@ class TestReconstructCommand:
             assert "condition" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_wide_rank_deficient_matrix_exits_5(self, tmp_path, capsys):
+        # Two locations of dependent rows under three modes: no exact solution,
+        # and lstsq would return amplitudes without any sign of the rank loss.
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        sel = tmp_path / "sel.csv"
+        sel.write_text("rank,location,row_indices\n1,0,0\n2,1,1\n")
+        obs = tmp_path / "obs.csv"
+        fileio.write_matrix(obs, [[1.0], [3.0]])
+        out = tmp_path / "amps.csv"
+        assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 5
+        assert "condition number inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shape_mismatch_exits_3(self, tmp_path):
         modes = tmp_path / "modes.csv"
         fileio.write_matrix(modes, np.eye(3))

@@ -20,7 +20,7 @@ from sensorplace.selection import (
     _greedy,
 )
 
-from oracles import exact_step_violations, exhaustive_step_argmax
+from oracles import exact_step_violations, exhaustive_step_argmax, explicit_greedy
 
 
 class TestSensorSelection:
@@ -207,6 +207,27 @@ def exact_rank_candidate(n, r, scales, seed):
     return (left * np.asarray(scales)) @ right.T
 
 
+def planted_candidate(s, base_dof, r, rank, planted, delta, seed):
+    """Stacked candidate: ``base_dof`` locations of an exactly rank-``rank``
+    candidate, the first two scaled by 4 so that greedy picks them first, then
+    ``planted`` locations with rows ``a x_0 + b x_1 + delta x_C`` (|a|, |b| <=
+    1/2, C another base location).  Once locations 0 and 1 are picked, a
+    planted location's residual is ``delta`` times that of C."""
+    rng = np.random.default_rng(seed)
+    base = exact_rank_candidate(s * base_dof, r, rng.uniform(0.5, 1.0, rank), seed)
+    dof = base_dof + planted
+    candidate = np.empty((s * dof, r))
+    for j in range(s):
+        block = base[j * base_dof : (j + 1) * base_dof]
+        block[:2] *= 4.0
+        candidate[j * dof : j * dof + base_dof] = block
+        for i in range(base_dof, dof):
+            a, b = rng.uniform(0.1, 0.5, size=2) * rng.choice([-1.0, 1.0], size=2)
+            c_loc = rng.integers(2, base_dof)
+            candidate[j * dof + i] = a * block[0] + b * block[1] + delta * block[c_loc]
+    return candidate
+
+
 class TestNumericalEdges:
     @pytest.mark.parametrize("smallest", [1e-4, 1e-8, 1e-12])
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -263,6 +284,124 @@ class TestNumericalEdges:
         with pytest.raises(ExhaustionError) as info:
             select_scalar_greedy(candidate, k + 1)
         assert info.value.step == k + 1
+
+
+class TestRecomputePath:
+    """Downdated pivots that fall past the recompute test are re-formed explicitly."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        s=st.integers(1, 3),
+        picks=st.integers(3, 4),
+        spare_rank=st.integers(0, 2),
+        deficit=st.integers(0, 2),
+        spare_locations=st.integers(0, 4),
+        planted=st.integers(1, 4),
+        exponent=st.floats(5.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_near_degenerate_locations_match_explicit_oracle(
+        self, s, picks, spare_rank, deficit, spare_locations, planted, exponent, seed
+    ):
+        # Rank s * (picks - deficit) exhausts at step picks - deficit + 1; the
+        # planted locations' pivots drop by delta^2 = 1e-10 .. 1e-20 mid-run.
+        r = s * picks + spare_rank
+        rank = s * (picks - deficit) if deficit else r
+        base_dof = picks + 3 + spare_locations
+        candidate = planted_candidate(s, base_dof, r, rank, planted, 10.0 ** -exponent, seed)
+        for select, sensors, components in (
+            (lambda: select_vector_greedy(candidate, picks, components=s), picks, s),
+            (lambda: select_scalar_greedy(candidate, s * picks), s * picks, 1),
+        ):
+            locations, gains, step = explicit_greedy(
+                candidate, sensors, components, linalg.RESIDUAL_RTOL
+            )
+            if step is None:
+                sel = select()
+                assert sel.locations == tuple(locations)
+                np.testing.assert_allclose(sel.step_gains, gains, rtol=1e-12, atol=0.0)
+            else:
+                with pytest.raises(ExhaustionError) as info:
+                    select()
+                assert info.value.step == step
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        s=st.integers(2, 3),
+        picks=st.integers(1, 3),
+        short=st.integers(1, 2),
+        spare_locations=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_short_of_a_whole_location_exhausts(self, s, picks, short, spare_locations, seed):
+        # Rank s * picks + s - short: after `picks` picks less than s
+        # directions remain, so every location's rows are dependent among
+        # themselves and its last pivot is zero.
+        short = min(short, s - 1)
+        r = s * (picks + 1)
+        dof = picks + 1 + spare_locations
+        scales = np.random.default_rng(seed).uniform(1e-3, 1.0, r - short)
+        candidate = exact_rank_candidate(s * dof, r, scales, seed)
+        with pytest.raises(ExhaustionError) as info:
+            select_vector_greedy(candidate, picks + 1, components=s)
+        assert info.value.step == picks + 1
+        assert explicit_greedy(candidate, picks + 1, s, linalg.RESIDUAL_RTOL)[2] == picks + 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tilt=st.floats(9.0, 13.0),
+        rival=st.floats(4.0, 7.0),
+    )
+    def test_nearly_collinear_rows_of_one_location(self, seed, tilt, rival):
+        # Location 0 has rows x and 2x + 10^-tilt y: its second pivot cancels
+        # in its Gram far below rounding and must come from its rows.
+        # Location 1 is small but spans a genuine plane.
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, 3))
+        candidate = np.empty((4, 3))
+        candidate[[0, 2]] = x, 2.0 * x + 10.0**-tilt * y
+        candidate[[1, 3]] = 10.0**-rival * rng.standard_normal((2, 3))
+        sel = select_vector_greedy(candidate, 1, components=2)
+        assert exact_step_violations(candidate, list(sel.locations), 2) == []
+
+    def test_a_refreshed_location_is_not_re_formed_again(self, monkeypatch):
+        # The planted row 20 crosses the test once rows 0 and 1 are picked;
+        # re-formed then, its 1e-5 residual stays clear of the refreshed test,
+        # so it is re-formed once besides the p winners.
+        rng = np.random.default_rng(56)
+        candidate = rng.standard_normal((21, 8))
+        candidate[:2] *= 10.0
+        candidate[20] = 0.1 * (candidate[0] + candidate[1]) + 1e-5 * rng.standard_normal(8)
+        calls = []
+        residual = selection._residual
+
+        def spy(flat, q, members, locs, s):
+            calls.append(locs.tolist())
+            return residual(flat, q, members, locs, s)
+
+        monkeypatch.setattr(selection, "_residual", spy)
+        sel = select_scalar_greedy(candidate, 6)
+        winners = [[loc] for loc in sel.locations]
+        assert sel.locations[:2] == (0, 1) and 20 not in sel.locations
+        re_formed = [locs for locs in calls if locs not in winners]
+        assert re_formed == [[20]]
+
+    def test_step_margins_exceed_one_on_every_completed_step(self):
+        rng = np.random.default_rng(57)
+        for s in (1, 2, 3):
+            for candidate in (
+                rng.standard_normal((s * 20, 9)),
+                graded_candidate(s, 0, 1e-12),
+                graded_candidate(s, 1, 5e-14),
+            ):
+                p = candidate.shape[1] // s
+                for sel in (select_vector_greedy(candidate, p, components=s),
+                            select_scalar_greedy(candidate, s * p)):
+                    assert len(sel.step_margins) == len(sel.step_gains) == sel.sensor_count
+                    assert min(sel.step_margins) > 1.0
+        assert select_random(10, 3, seed=1).step_margins is None
+        assert select_convex(rng.standard_normal((10, 3)), 2).step_margins is None
 
 
 class TestBatchedKernel:
