@@ -36,7 +36,7 @@ from .selection import (
     METHOD_SCALAR_GREEDY,
     METHODS,
     SensorSelection,
-    _select_greedy,
+    _greedy,
     select_convex,
     select_random,
 )
@@ -140,8 +140,8 @@ class ExperimentConfig:
         for name in self.methods:
             if name not in table:
                 raise ValueError(f"unknown method {name!r}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods must be unique")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must be non-empty and unique")
 
 
 @dataclass(frozen=True)
@@ -253,41 +253,39 @@ def _aggregate(
     )
 
 
-def _select_batch(
-    method: str,
+def _select_chunk(
+    methods: tuple[str, ...],
     candidates: np.ndarray,
     cfg: ExperimentConfig,
     p: int,
     trial_seeds,
     r: int,
-) -> list[SensorSelection]:
-    """One study method on a stack of candidates (B, n, r), one trial seed each."""
-    s = cfg.components
-    npc = cfg.n_per_component
-    try:
+) -> dict[str, np.ndarray]:
+    """Locations (B, p) per study method on a stack of candidates (B, n, r), one trial seed each.
+
+    Every scalar-greedy component runs in one kernel call on the stacked
+    component blocks; each block's picks map back to its own method.
+    """
+    s, npc = cfg.components, cfg.n_per_component
+    picks: dict[str, np.ndarray] = {}
+    components: dict[str, int] = {}
+    for method in methods:
         base, component = _study_methods(s)[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
-    if base == METHOD_RANDOM:
-        return [
-            select_random(npc, p, seed=_stream_seed(seed, _RANDOM_STREAM, r), components=s)
-            for seed in trial_seeds
-        ]
-    if base == METHOD_CONVEX:
-        return [select_convex(c, p, components=s) for c in candidates]
-    if component is None:
-        return _select_greedy(candidates, p, s, base)
-    block = candidates[:, (component - 1) * npc : component * npc]
-    # Selected on one component block only; the stacked measurement matrix
-    # later gathers the co-located rows of every component.  The block's step
-    # gains do not multiply to det(C)^2 of that stacked matrix, so none are
-    # carried.
-    return [
-        SensorSelection(
-            locations=sel.locations, components=s, dof_per_component=npc, method=base
-        )
-        for sel in _select_greedy(block, p, 1, base)
-    ]
+        if base == METHOD_RANDOM:
+            seeds = [_stream_seed(seed, _RANDOM_STREAM, r) for seed in trial_seeds]
+            picks[method] = np.array([select_random(npc, p, seed).locations for seed in seeds])
+        elif base == METHOD_CONVEX:
+            picks[method] = np.array([select_convex(c, p, s).locations for c in candidates])
+        elif component is None:
+            picks[method] = _greedy(candidates.transpose(0, 2, 1), p, s)[0]
+        else:
+            components[method] = component
+    if components:
+        blocks = np.stack([candidates[:, (k - 1) * npc : k * npc].transpose(0, 2, 1)
+                           for k in components.values()])
+        found = _greedy(blocks.reshape(-1, r, npc), p, 1)[0]
+        picks.update(zip(components, found.reshape(len(components), -1, p)))
+    return picks
 
 
 def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
@@ -298,9 +296,10 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     the square budget p = r/s and records ``ln |det C|`` of the stacked
     measurement matrix.  Trials whose measurement matrix is singular count as
     skipped for that cell.  Trials run in chunks of about 2 MiB of
-    candidates: each rank's candidates of a chunk are drawn at once, each
-    method selects on all of them in one call, and their measurement
-    matrices are scored in one stacked QR.
+    candidates: each rank's candidates of a chunk are drawn at once, vector
+    greedy selects on all of them in one kernel call and every scalar
+    component on all of them in one more, and the measurement matrices of
+    every method of the chunk are scored in one stacked QR.
     """
     start = time.perf_counter()
     values: dict[tuple[str, int], list[float]] = {
@@ -316,13 +315,14 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
             candidates = np.empty((len(seeds), n, r))
             for candidate, trial_seed in zip(candidates, seeds):
                 _data_rng(trial_seed, r).standard_normal(out=candidate)
-            for method in cfg.methods:
-                sels = _select_batch(method, candidates, cfg, p, seeds, r)
-                rows = np.array([sel.selected_rows for sel in sels])
-                scores = linalg.log_row_volume(
-                    candidates[np.arange(len(seeds))[:, None], rows]
-                )
-                values[(method, r)].extend(float(v) for v in scores if np.isfinite(v))
+            picks = _select_chunk(cfg.methods, candidates, cfg, p, seeds, r)
+            # Each selection's rows in ``SensorSelection.selected_rows`` order.
+            locs = np.stack(list(picks.values()))
+            rows = locs[..., None] + cfg.n_per_component * np.arange(s)
+            rows = rows.reshape(*locs.shape[:2], -1)
+            scores = linalg.log_row_volume(candidates[np.arange(len(seeds))[:, None], rows])
+            for method, row in zip(picks, scores):
+                values[(method, r)].extend(float(v) for v in row if np.isfinite(v))
     return _aggregate(
         "random-benchmark",
         "log_det",
@@ -370,11 +370,13 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         centered = data.data - basis.mean[:, None]
         p = r // s
 
-        def model_of(method: str, trial_seed: int):
-            sel = _select_batch(method, basis.modes[None], cfg, p, (trial_seed,), r)[0]
-            return build_model(basis, sel)
+        def models_of(methods: tuple[str, ...], trial_seed: int) -> dict:
+            picks = _select_chunk(methods, basis.modes[None], cfg, p, (trial_seed,), r)
+            return {m: build_model(basis, SensorSelection(
+                tuple(locs[0].tolist()), s, cfg.n_per_component, _study_methods(s)[m][0]
+            )) for m, locs in picks.items()}
 
-        fixed_models = {m: model_of(m, 0) for m in cfg.methods if m != METHOD_RANDOM}
+        models = models_of(tuple(m for m in cfg.methods if m != METHOD_RANDOM), 0)
         for trial in range(cfg.trials):
             trial_seed = cfg.base_seed + trial
             # Every method and the reference observe this one noisy field.
@@ -382,11 +384,10 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
             if cfg.noise_sigma > 0:
                 noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
                 y_full = centered + cfg.noise_sigma * _noise_field(data, noise_seed)
+            if METHOD_RANDOM in cfg.methods:
+                models.update(models_of((METHOD_RANDOM,), trial_seed))
             for method in cfg.methods:
-                if method == METHOD_RANDOM:
-                    model = model_of(method, trial_seed)
-                else:
-                    model = fixed_models[method]
+                model = models[method]
                 result = reconstruct(model, y_full[list(model.selection.selected_rows)])
                 values[(method, r)].append(reconstruction_error(true_amps, result.amplitudes))
             # Reference: observe every row; the least-squares fit onto the

@@ -160,50 +160,57 @@ def _residual(flat: np.ndarray, q: np.ndarray, members: np.ndarray, locs: np.nda
     return rows
 
 
-def _ldl_pivots(gram: dict, s: int, cut: np.ndarray) -> np.ndarray:
-    """LDL^T pivots (s, B, dof) in component order of the Grams ``gram[j, k]``, j <= k;
-    NaN (unknown) where elimination cancels one below sqrt(eps) of its diagonal entry."""
+def _ldl_pivots(gram: dict, s: int, cut: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """Write the LDL^T pivots of the Grams ``gram[j, k]``, j <= k, into ``piv`` (s, B, dof) in
+    component order; returns where elimination cancels one below sqrt(eps) of its diagonal.
+    The first pivot is its Gram entry: a negative one already fails the recompute test."""
     a = dict(gram)
-    for j in range(s):
-        safe = np.where(a[j, j] > cut, a[j, j], 1.0)
-        for k in range(j + 1, s):
+    cancelled = np.zeros(piv.shape[1:], dtype=bool)
+    piv[0] = gram[0, 0]
+    for j in range(1, s):
+        safe = np.where(piv[j - 1] > cut, piv[j - 1], 1.0)
+        for k in range(j, s):
             for m in range(k, s):
-                a[k, m] = a[k, m] - a[j, k] / safe * a[j, m]
-    unknown = [a[j, j] < _RECOMPUTE_RATIO * gram[j, j] for j in range(s)]
-    return np.where(unknown, np.nan, np.stack([a[j, j] for j in range(s)]))
+                a[k, m] = a[k, m] - a[j - 1, k] / safe * a[j - 1, m]
+        piv[j] = a[j, j]
+        cancelled |= piv[j] < _RECOMPUTE_RATIO * gram[j, j]
+    return cancelled
 
 
-def _greedy(
-    stack: np.ndarray, sensors: int, s: int, method: str
-) -> list[SensorSelection | ExhaustionError]:
-    """Greedy determinant maximization on a stack (B, n, r) of candidates.
+def _greedy(flat: np.ndarray, sensors: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy determinant maximization on a transposed stack (B, r, n) of candidates.
 
-    Each member gets its selection, or the ``ExhaustionError`` it would raise.
-    A location scores the squared volume its s rows add to the picked rows,
-    the product of the LDL^T pivots of its residual Gram in component order
-    (Saito et al., arXiv:1911.08757).  A pick downdates the Grams by ``w w^T``,
-    ``w = q^T A_i`` for the winner's orthonormalized rows q: one read of the
-    candidate.  Only the winner (for q and its gain) and the locations the
-    ``_RECOMPUTE_RATIO`` test flags are re-formed from their rows.
+    ``flat[b, :, i + dof*j]`` is row i + dof*j of member b.  It is only read,
+    after a copy if it is not C-contiguous, so results do not depend on its layout.
+    Returns the picks, step gains and step margins, each (B, sensors), and
+    raises ``ExhaustionError`` at the first step where some member has no
+    live location.  A location scores the squared volume its s rows add to
+    the picked rows, the product of the LDL^T pivots of its residual Gram in
+    component order (Saito et al., arXiv:1911.08757).  A pick downdates the
+    Grams by ``w w^T``, ``w = q^T A_i`` for the winner's orthonormalized rows
+    q: one read of the candidate.  Only the winner (for q and its gain) and
+    the locations the ``_RECOMPUTE_RATIO`` tests flag are re-formed from
+    their rows.
     """
-    batch, n, r = stack.shape
+    flat = np.ascontiguousarray(flat)
+    batch, r, n = flat.shape
     dof = n // s
-    # flat[b, :, i + dof*j] is row i + dof*j of member b: per-location arrays are contiguous.
-    flat = stack.transpose(0, 2, 1).copy()
     comp = flat.reshape(batch, r, s, dof)
     gram = {(j, k): np.einsum("brl,brl->bl", comp[:, :, j], comp[:, :, k])
             for j in range(s) for k in range(j, s)}
     max_norm = np.sqrt(np.max([gram[j, j].max(axis=1) for j in range(s)], axis=0))[:, None]
     cut = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
-    piv = _ldl_pivots(gram, s, cut)
+    piv = np.empty((s, batch, dof))
+    cancelled = _ldl_pivots(gram, s, cut, piv)
     limit = _RECOMPUTE_RATIO * max_norm * np.sqrt(np.maximum(piv, 0.0))
     q = np.zeros((batch, r, 0))
     every = np.arange(batch)
     alive = np.ones((batch, dof), dtype=bool)
-    failed = np.zeros(batch, dtype=int)  # the step a member exhausted at, or 0
-    chosen, gains, margins = [], [], []
-    for step in range(1, sensors + 1):
-        stale = alive & ~(piv >= limit).all(axis=0)  # an unknown (NaN) pivot is stale
+    picks = np.empty((batch, sensors), dtype=np.intp)
+    gains = np.empty((batch, sensors))
+    margins = np.full((batch, sensors), np.inf)
+    for step in range(sensors):
+        stale = alive & (cancelled | ~(piv >= limit).all(axis=0))
         if stale.any():
             members, locs = np.nonzero(stale)
             rfac = np.linalg.qr(_residual(flat, q, members, locs, s), mode="r")
@@ -211,42 +218,34 @@ def _greedy(
                 g[members, locs] = np.einsum("mi,mi->m", rfac[:, :, j], rfac[:, :, k])
             piv[:, members, locs] = fresh = np.diagonal(rfac, axis1=1, axis2=2).T ** 2
             limit[:, members, locs] = _RECOMPUTE_RATIO * max_norm[members, 0] * np.sqrt(fresh)
-        scores = np.prod(piv, axis=0)
-        scores[(piv <= cut).any(axis=0)] = 0.0
-        scores[~alive] = -np.inf
+        scores = np.where(alive & (piv > cut).all(axis=0), np.prod(piv, axis=0), 0.0)
         pick = np.argmax(scores, axis=1)
-        failed[(failed == 0) & ~(scores[every, pick] > 0.0)] = step
-        if failed.all():
-            break
+        if not (scores[every, pick] > 0.0).all():
+            raise ExhaustionError(f"all remaining locations are degenerate at step {step + 1}",
+                                  step=step + 1)
         basis, rfac = np.linalg.qr(_residual(flat, q, every, pick, s))
-        chosen.append(pick)
-        gains.append(np.prod(np.diagonal(rfac, axis1=1, axis2=2) ** 2, axis=1))
-        margins.append(np.divide(piv[:, every, pick].min(axis=0), cut[:, 0],
-                                 out=np.full(batch, np.inf), where=cut[:, 0] > 0.0))
+        picks[:, step] = pick
+        gains[:, step] = np.prod(np.diagonal(rfac, axis1=1, axis2=2) ** 2, axis=1)
+        np.divide(piv[:, every, pick].min(axis=0), cut[:, 0], out=margins[:, step],
+                  where=cut[:, 0] > 0.0)
         alive[every, pick] = False
-        if step < sensors:
-            basis[failed > 0] = 0.0  # an exhausted member downdates nothing more
+        if step + 1 < sensors:
             q = np.concatenate((q, basis), axis=2)
             w = (basis.swapaxes(1, 2) @ flat).reshape(batch, s, s, dof)
             for (j, k), g in gram.items():
                 g -= np.einsum("bml,bml->bl", w[:, :, j], w[:, :, k])
-            piv = _ldl_pivots(gram, s, cut)
-    message = "all remaining locations are degenerate at step {}"
-    return [ExhaustionError(message.format(f), step=int(f)) if f else SensorSelection(
-        locations=tuple(int(c[b]) for c in chosen),
-        components=s, dof_per_component=dof, method=method,
-        step_gains=tuple(float(g[b]) for g in gains),
-        step_margins=tuple(float(m[b]) for m in margins),
-    ) for b, f in enumerate(failed)]
+            cancelled = _ldl_pivots(gram, s, cut, piv)
+    return picks, gains, margins
 
 
-def _select_greedy(stack: np.ndarray, sensors: int, s: int, method: str) -> list[SensorSelection]:
-    """``_greedy`` on a stack; raises the first member's ``ExhaustionError``."""
-    results = _greedy(stack, sensors, s, method)
-    for result in results:
-        if isinstance(result, ExhaustionError):
-            raise result
-    return results
+def _select_greedy(matrix: np.ndarray, sensors: int, s: int, method: str) -> SensorSelection:
+    """``_greedy`` on one candidate (n, r), as its ``SensorSelection``."""
+    picks, gains, margins = _greedy(matrix.T[None], sensors, s)
+    return SensorSelection(
+        locations=tuple(picks[0].tolist()), components=s,
+        dof_per_component=matrix.shape[0] // s, method=method,
+        step_gains=tuple(gains[0].tolist()), step_margins=tuple(margins[0].tolist()),
+    )
 
 
 def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
@@ -270,7 +269,7 @@ def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
         raise ValueError(f"sensor count {sensors} violates p <= r with r={r}")
     if sensors > n:
         raise ValueError(f"cannot select {sensors} rows from {n}")
-    return _select_greedy(matrix[None], sensors, 1, METHOD_SCALAR_GREEDY)[0]
+    return _select_greedy(matrix, sensors, 1, METHOD_SCALAR_GREEDY)
 
 
 def select_vector_greedy(
@@ -300,7 +299,7 @@ def select_vector_greedy(
     SelectionBudget(sensors=sensors, components=s, rank=r)
     if sensors > dof:
         raise ValueError(f"cannot select {sensors} of {dof} locations")
-    return _select_greedy(matrix[None], sensors, s, METHOD_VECTOR_GREEDY)[0]
+    return _select_greedy(matrix, sensors, s, METHOD_VECTOR_GREEDY)
 
 
 def select_random(
@@ -324,7 +323,7 @@ def select_random(
 # Projected gradient ascent in select_convex: the iteration cap, the
 # tolerance on the projected-gradient norm, the Armijo constant, the
 # backtracking factor, and the first and smallest trial steps.
-_CONVEX_MAX_ITERS = 500
+_CONVEX_MAX_ITERS = 2000
 _CONVEX_GRAD_TOL = 1e-6
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
@@ -382,7 +381,7 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
     Raises
     ------
     ConvexSolverError
-        If the projected-gradient norm has not dropped to 1e-6 within 500
+        If the projected-gradient norm has not dropped to 1e-6 within 2000
         iterations.
     """
     matrix, s = _candidate_array(candidate, components)
