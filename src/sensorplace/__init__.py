@@ -23,7 +23,7 @@ from .experiments import (
     run_random_benchmark,
     run_reconstruction_study,
 )
-from .pod import PODBasis, SnapshotMatrix, component_block, compute_pod, mode_amplitudes
+from .pod import PODBasis, SnapshotMatrix, compute_pod, mode_amplitudes
 from .selection import (
     METHOD_CONVEX,
     METHOD_RANDOM,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PODBasis",
     "SnapshotMatrix",
-    "component_block",
     "compute_pod",
     "mode_amplitudes",
     "METHOD_CONVEX",

@@ -21,6 +21,7 @@ from .selection import (
     METHODS,
     ExhaustionError,
     SensorSelection,
+    _candidate_array,
     select_convex,
     select_random,
     select_scalar_greedy,
@@ -78,8 +79,7 @@ def _cmd_select(args) -> int:
     elif args.method == METHOD_RANDOM:
         if args.seed is None:
             raise MissingOptionError("--seed is required for the random method")
-        if modes.shape[0] % s != 0:
-            raise ValueError(f"{modes.shape[0]} rows not divisible by {s} components")
+        _candidate_array(modes, args.count, s)
         sel = select_random(modes.shape[0] // s, args.count, seed=args.seed, components=s)
     else:  # METHOD_CONVEX; argparse choices admit nothing else
         sel = select_convex(modes, args.count, components=s)
@@ -88,27 +88,21 @@ def _cmd_select(args) -> int:
 
 
 def _selection_from_entries(entries, n_rows: int) -> SensorSelection:
-    components = len(entries[0][1])
-    dof = n_rows // components
-    if n_rows % components != 0:
-        raise ValueError(
-            f"{n_rows} mode rows not divisible by {components} components"
-        )
-    for location, rows in entries:
-        expected = [location + dof * j for j in range(components)]
-        if rows != expected:
+    s = len(entries[0][1])
+    if n_rows % s != 0:
+        raise ValueError(f"{n_rows} mode rows not divisible by {s} components")
+    selection = SensorSelection(
+        locations=tuple(loc for loc, _ in entries), components=s,
+        dof_per_component=n_rows // s, method="file",
+    )
+    expected = selection.selected_rows
+    for k, (location, rows) in enumerate(entries):
+        if tuple(rows) != expected[k * s : (k + 1) * s]:
             raise ValueError(
                 f"row indices {rows} for location {location} do not follow the "
-                f"stacked layout with {dof} locations per component"
+                f"stacked layout with {n_rows // s} locations per component"
             )
-        if any(not 0 <= row < n_rows for row in rows):
-            raise ValueError(f"row index out of range in {rows}")
-    return SensorSelection(
-        locations=tuple(loc for loc, _ in entries),
-        components=components,
-        dof_per_component=dof,
-        method="file",
-    )
+    return selection
 
 
 def _cmd_reconstruct(args) -> int:

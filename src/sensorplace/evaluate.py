@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .pod import PODBasis, SnapshotMatrix
-from .selection import SensorSelection
+from .selection import SensorSelection, _candidate_array
 
 __all__ = [
     "MeasurementModel",
@@ -71,18 +71,11 @@ class MeasurementModel:
 def build_model(candidate, selection: SensorSelection) -> MeasurementModel:
     """Gather the selected rows of the candidate into a measurement matrix.
 
-    ``candidate`` may be a PODBasis or a raw stacked n x r array; its row
-    count must match the selection's ``components * dof_per_component``.
+    ``candidate`` may be a PODBasis or a raw stacked n x r array; it passes
+    the selectors' input gate, and its row count must match the selection's
+    ``components * dof_per_component``.
     """
-    if isinstance(candidate, PODBasis):
-        if candidate.components != selection.components:
-            raise ValueError(
-                f"selection has {selection.components} components, basis has "
-                f"{candidate.components}"
-            )
-        modes = candidate.modes
-    else:
-        modes = linalg.as_matrix(candidate, name="candidate matrix")
+    modes, _ = _candidate_array(candidate, selection.sensor_count, selection.components)
     n = modes.shape[0]
     if n != selection.components * selection.dof_per_component:
         raise ValueError(
@@ -151,10 +144,9 @@ def _noise_field(field_snapshots: SnapshotMatrix, seed: int | None) -> np.ndarra
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Recovered amplitudes (r x N) with per-column residual norms."""
+    """Recovered amplitudes (r x N) and whether the zero rule calls C rank-deficient."""
 
     amplitudes: np.ndarray
-    residual_norms: np.ndarray
     rank_deficient: bool
 
 
@@ -176,8 +168,7 @@ def reconstruct(model: MeasurementModel, observations) -> ReconstructionResult:
         amplitudes = np.linalg.lstsq(c, y, rcond=None)[0]
     else:
         amplitudes = model._q @ np.linalg.solve(model._r.T, y)
-    residuals = np.linalg.norm(c @ amplitudes - y, axis=0)
-    return ReconstructionResult(amplitudes, residuals, rank_deficient)
+    return ReconstructionResult(amplitudes, rank_deficient)
 
 
 def reconstruction_error(true_amplitudes, reconstructed) -> float:

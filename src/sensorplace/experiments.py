@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -180,18 +180,7 @@ class ExperimentReport:
             "metric": self.metric,
             "base_seed": self.base_seed,
             "configured_trials": self.configured_trials,
-            "cells": [
-                {
-                    "method": c.method,
-                    "r": c.r,
-                    "p": c.p,
-                    "mean": c.mean,
-                    "std": c.std,
-                    "trials": c.trials,
-                    "skipped": c.skipped,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
         if include_wall_time:
             out["wall_time_seconds"] = self.wall_time_seconds
@@ -205,11 +194,9 @@ class ExperimentReport:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["method", "r", "p", "mean", "std", "trials", "skipped"])
+            writer.writerow([f.name for f in fields(ReportCell)])
             for c in self.cells:
-                writer.writerow(
-                    [c.method, c.r, c.p, f"{c.mean:.17g}", f"{c.std:.17g}", c.trials, c.skipped]
-                )
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in astuple(c)])
 
 
 def _aggregate(

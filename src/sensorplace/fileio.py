@@ -137,13 +137,12 @@ def _read_matrix_lines(path, header: bool) -> np.ndarray:
 
 def write_selection(path, selection: SensorSelection) -> None:
     """Write a selection file (header ``rank,location,row_indices``)."""
-    dof = selection.dof_per_component
+    s, rows = selection.components, selection.selected_rows
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["rank", "location", "row_indices"])
-        for order, loc in enumerate(selection.locations, start=1):
-            rows = ";".join(str(loc + dof * j) for j in range(selection.components))
-            writer.writerow([order, loc, rows])
+        for k, loc in enumerate(selection.locations):
+            writer.writerow([k + 1, loc, ";".join(map(str, rows[k * s : (k + 1) * s]))])
 
 
 def read_selection(path) -> list[tuple[int, list[int]]]:

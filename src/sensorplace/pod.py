@@ -18,7 +18,6 @@ __all__ = [
     "SnapshotMatrix",
     "PODBasis",
     "compute_pod",
-    "component_block",
     "mode_amplitudes",
 ]
 
@@ -137,16 +136,6 @@ def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PO
         components=snapshots.components,
         mean=mean,
     )
-
-
-def component_block(basis: PODBasis, component: int) -> np.ndarray:
-    """Row block of ``basis.modes`` for one vector component (0-based index)."""
-    if not 0 <= component < basis.components:
-        raise ValueError(
-            f"component {component} out of range for {basis.components} components"
-        )
-    dof = basis.dof_per_component
-    return basis.modes[component * dof : (component + 1) * dof]
 
 
 def mode_amplitudes(basis: PODBasis, snapshots: SnapshotMatrix) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "ExhaustionError",
     "ConvexSolverError",
     "SensorSelection",
-    "SelectionBudget",
     "select_scalar_greedy",
     "select_vector_greedy",
     "select_random",
@@ -108,39 +107,32 @@ class SensorSelection:
         )
 
 
-@dataclass(frozen=True)
-class SelectionBudget:
-    """Sensor budget for determinant-based selection: requires s*p <= r."""
+def _candidate_array(candidate, sensors: int, components: int | None) -> tuple[np.ndarray, int]:
+    """The stacked matrix and s of a PODBasis or raw candidate, after the budget checks.
 
-    sensors: int
-    components: int
-    rank: int
-
-    def __post_init__(self):
-        if self.sensors < 1:
-            raise ValueError("sensor count must be >= 1")
-        if self.sensors * self.components > self.rank:
-            raise ValueError(
-                f"budget violates s*p <= r: s={self.components}, "
-                f"p={self.sensors}, r={self.rank}"
-            )
-
-
-def _candidate_array(candidate, components: int | None) -> tuple[np.ndarray, int]:
-    """Accept either a PODBasis or a raw stacked candidate matrix."""
+    Requires n divisible by s, ``p >= 1``, ``s * p <= r`` and ``p <= n/s``.
+    """
     if isinstance(candidate, PODBasis):
         if components is not None and components != candidate.components:
             raise ValueError(
                 f"components={components} conflicts with basis components="
                 f"{candidate.components}"
             )
-        return candidate.modes, candidate.components
-    matrix = linalg.as_matrix(candidate, name="candidate matrix")
-    s = 1 if components is None else int(components)
-    if s < 1:
-        raise ValueError("components must be >= 1")
-    if matrix.shape[0] % s != 0:
-        raise ValueError(f"{matrix.shape[0]} rows not divisible by {s} components")
+        matrix, s = candidate.modes, candidate.components
+    else:
+        matrix = linalg.as_matrix(candidate, name="candidate matrix")
+        s = 1 if components is None else int(components)
+        if s < 1:
+            raise ValueError("components must be >= 1")
+    n, r = matrix.shape
+    if n % s != 0:
+        raise ValueError(f"{n} rows not divisible by {s} components")
+    if sensors < 1:
+        raise ValueError("sensor count must be >= 1")
+    if sensors * s > r:
+        raise ValueError(f"budget violates s*p <= r: s={s}, p={sensors}, r={r}")
+    if sensors > n // s:
+        raise ValueError(f"cannot select {sensors} of {n // s} locations")
     return matrix, s
 
 
@@ -258,17 +250,13 @@ def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
 
     Parameters
     ----------
-    candidate : array_like, shape (n, r)
+    candidate : PODBasis or array_like, shape (n, r)
         Candidate matrix; each row is one scalar measurement location.
     sensors : int
         Number of rows to select; at most r.
     """
-    matrix, _ = _candidate_array(candidate, None)
-    n, r = matrix.shape
-    if not 1 <= sensors <= r:
-        raise ValueError(f"sensor count {sensors} violates p <= r with r={r}")
-    if sensors > n:
-        raise ValueError(f"cannot select {sensors} rows from {n}")
+    modes = candidate.modes if isinstance(candidate, PODBasis) else candidate
+    matrix, _ = _candidate_array(modes, sensors, 1)
     return _select_greedy(matrix, sensors, 1, METHOD_SCALAR_GREEDY)
 
 
@@ -293,12 +281,7 @@ def select_vector_greedy(
         Number of locations p to select; requires ``s * p <= r`` and
         ``p <= n/s``.
     """
-    matrix, s = _candidate_array(candidate, components)
-    n, r = matrix.shape
-    dof = n // s
-    SelectionBudget(sensors=sensors, components=s, rank=r)
-    if sensors > dof:
-        raise ValueError(f"cannot select {sensors} of {dof} locations")
+    matrix, s = _candidate_array(candidate, sensors, components)
     return _select_greedy(matrix, sensors, s, METHOD_VECTOR_GREEDY)
 
 
@@ -384,12 +367,9 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
         If the projected-gradient norm has not dropped to 1e-6 within 2000
         iterations.
     """
-    matrix, s = _candidate_array(candidate, components)
+    matrix, s = _candidate_array(candidate, sensors, components)
     n, r = matrix.shape
     dof = n // s
-    SelectionBudget(sensors=sensors, components=s, rank=r)
-    if sensors > dof:
-        raise ValueError(f"cannot select {sensors} of {dof} locations")
     trace_scale = float(np.einsum("ij,ij->", matrix, matrix)) / r
     if trace_scale <= 0.0:
         raise ValueError("candidate matrix is identically zero")

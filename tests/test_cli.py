@@ -82,7 +82,7 @@ class TestSelectCommand:
         out_b = tmp_path / "b.csv"
         for out in (out_a, out_b):
             assert run(["select", str(modes), str(out),
-                        "-m", "random", "-p", "3", "-s", "2", "--seed", "77"]) == 0
+                        "-m", "random", "-p", "2", "-s", "2", "--seed", "77"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_budget_violation_exits_3_quoting_constraint(self, tmp_path, capsys):
@@ -92,6 +92,16 @@ class TestSelectCommand:
                     "-m", "vector-greedy", "-p", "3", "-s", "2"])
         assert code == 3
         assert "s*p <= r" in capsys.readouterr().err
+
+    def test_random_over_budget_exits_3_quoting_constraint(self, tmp_path, capsys):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.random.default_rng(1).standard_normal((12, 4)))
+        out = tmp_path / "sel.csv"
+        args = ["select", str(modes), str(out), "-m", "random", "-p", "3", "-s", "2"]
+        assert run(args) == 4  # the missing seed is reported first
+        assert run(args + ["--seed", "5"]) == 3
+        assert "s*p <= r" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         modes = tmp_path / "modes.csv"
@@ -172,6 +182,29 @@ class TestReconstructCommand:
         out = tmp_path / "amps.csv"
         assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 5
         assert "condition number inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_off_the_stacked_layout_exit_3_naming_the_location(self, tmp_path, capsys):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.random.default_rng(2).standard_normal((12, 4)))
+        sel = tmp_path / "sel.csv"
+        sel.write_text("rank,location,row_indices\n1,0,0;7\n")
+        obs = tmp_path / "obs.csv"
+        fileio.write_matrix(obs, np.ones((2, 1)))
+        out = tmp_path / "amps.csv"
+        assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 3
+        assert "location 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_location_beyond_dof_exits_3(self, tmp_path):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.random.default_rng(3).standard_normal((12, 4)))
+        sel = tmp_path / "sel.csv"
+        sel.write_text("rank,location,row_indices\n1,6,6;12\n")
+        obs = tmp_path / "obs.csv"
+        fileio.write_matrix(obs, np.ones((2, 1)))
+        out = tmp_path / "amps.csv"
+        assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 3
         assert not out.exists()
 
     def test_shape_mismatch_exits_3(self, tmp_path):

@@ -212,15 +212,6 @@ class TestReconstruct:
         err = np.linalg.norm(out.amplitudes - amps) / np.linalg.norm(amps)
         assert err <= 1e-10
 
-    def test_residual_norms_recomputed(self):
-        basis, snaps, _ = tiny_basis(73)
-        sel = select_vector_greedy(basis, 2)
-        model = build_model(basis, sel)
-        y = observe(basis, sel, snaps, noise_sigma=0.01, seed=11)
-        out = reconstruct(model, y)
-        direct = np.linalg.norm(model.c @ out.amplitudes - y, axis=0)
-        np.testing.assert_allclose(out.residual_norms, direct, atol=1e-14)
-
     def test_rank_deficiency_flagged(self):
         candidate = np.vstack([np.ones((2, 2)), np.eye(2)])
         sel = selection_of([0, 1], components=1, dof=4)

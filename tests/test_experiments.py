@@ -285,6 +285,22 @@ class TestReportSerialization:
         header = csv_path.read_text().splitlines()[0]
         assert header == "method,r,p,mean,std,trials,skipped"
 
+    def test_json_key_order_and_csv_bytes_are_pinned(self, tmp_path):
+        cfg = small_benchmark_config(trials=3)
+        report = run_random_benchmark(cfg)
+        as_dict = report.as_dict(include_wall_time=False)
+        assert list(as_dict) == ["study", "metric", "base_seed", "configured_trials", "cells"]
+        cell_keys = ["method", "r", "p", "mean", "std", "trials", "skipped"]
+        assert [list(cell) for cell in as_dict["cells"]] == [cell_keys] * len(report.cells)
+        assert list(report.as_dict()) == list(as_dict) + ["wall_time_seconds"]
+        csv_path = tmp_path / "report.csv"
+        report.write_csv(csv_path)
+        expected = "method,r,p,mean,std,trials,skipped\r\n" + "".join(
+            f"{c.method},{c.r},{c.p},{c.mean:.17g},{c.std:.17g},{c.trials},{c.skipped}\r\n"
+            for c in report.cells
+        )
+        assert csv_path.read_bytes() == expected.encode("utf-8")
+
     def test_cell_lookup_missing(self):
         cfg = small_benchmark_config(trials=1)
         report = run_random_benchmark(cfg)

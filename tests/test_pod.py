@@ -5,7 +5,6 @@ from sensorplace import linalg
 from sensorplace.pod import (
     PODBasis,
     SnapshotMatrix,
-    component_block,
     compute_pod,
     mode_amplitudes,
 )
@@ -81,28 +80,6 @@ class TestComputePod:
         np.testing.assert_allclose(centered.mean, snaps.data.mean(axis=1))
         raw = compute_pod(snaps, 3, center=False)
         assert np.all(raw.mean == 0.0)
-
-
-class TestComponentBlock:
-    def test_single_component_returns_modes(self):
-        basis = compute_pod(synthetic_snapshots(6, 5, rank=3, seed=27), 3)
-        np.testing.assert_array_equal(component_block(basis, 0), basis.modes)
-
-    def test_second_block_rows(self):
-        modes = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        basis = PODBasis(modes=modes, singular_values=[1.0, 1.0], components=2)
-        np.testing.assert_array_equal(component_block(basis, 1), modes[2:])
-
-    def test_blocks_reconcatenate_bit_identically(self):
-        snaps = synthetic_snapshots(12, 8, rank=4, seed=28, components=3)
-        basis = compute_pod(snaps, 4)
-        stacked = np.vstack([component_block(basis, j) for j in range(3)])
-        assert np.array_equal(stacked, basis.modes)
-
-    def test_component_out_of_range(self):
-        basis = compute_pod(synthetic_snapshots(6, 5, rank=2, seed=29, components=2), 2)
-        with pytest.raises(ValueError):
-            component_block(basis, 2)
 
 
 class TestModeAmplitudes:

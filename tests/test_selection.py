@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensorplace import build_model, linalg, score_logdet, selection
+from sensorplace.pod import PODBasis
 from sensorplace.selection import (
     ConvexSolverError,
     ExhaustionError,
-    SelectionBudget,
     SensorSelection,
     select_convex,
     select_random,
@@ -39,10 +39,34 @@ class TestSensorSelection:
             SensorSelection(locations=(4,), components=1, dof_per_component=4,
                             method="random")
 
-    def test_budget_constraint(self):
-        SelectionBudget(sensors=3, components=2, rank=6)
+
+# Every selector that takes a candidate matrix, called as (candidate, p) with its s.
+GATED_SELECTORS = [
+    pytest.param(lambda c, p: select_scalar_greedy(c, p), 1, id="scalar-greedy"),
+    pytest.param(lambda c, p: select_vector_greedy(c, p, components=2), 2, id="vector-greedy"),
+    pytest.param(lambda c, p: select_convex(c, p, components=2), 2, id="convex"),
+]
+
+
+class TestInputGate:
+    @pytest.mark.parametrize("select, s", GATED_SELECTORS)
+    def test_rejects_empty_over_budget_and_too_many_locations(self, select, s):
+        rng = np.random.default_rng(47)
+        tall = rng.standard_normal((6 * s, 2 * s))  # 6 locations, r = 2s
+        with pytest.raises(ValueError, match="sensor count must be >= 1"):
+            select(tall, 0)
         with pytest.raises(ValueError, match=r"s\*p <= r"):
-            SelectionBudget(sensors=4, components=2, rank=6)
+            select(tall, 3)
+        wide = rng.standard_normal((3 * s, 4 * s))  # 3 locations, r = 4s
+        with pytest.raises(ValueError, match="cannot select 4 of 3 locations"):
+            select(wide, 4)
+
+    def test_scalar_greedy_treats_every_basis_row_as_a_location(self):
+        modes, _ = np.linalg.qr(np.random.default_rng(48).standard_normal((20, 5)))
+        basis = PODBasis(modes=modes, singular_values=np.ones(5), components=2)
+        sel = select_scalar_greedy(basis, 5)
+        assert (sel.components, sel.dof_per_component) == (1, 20)
+        assert sel.locations == select_scalar_greedy(basis.modes, 5).locations
 
 
 class TestScalarGreedy:
