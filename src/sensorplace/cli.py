@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None and args.seed < 0:
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
         _fail("--seed must be a non-negative 64-bit integer")
         return EXIT_PARSE
     try:

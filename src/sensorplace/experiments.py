@@ -242,16 +242,16 @@ def _aggregate(
 
 def _select_chunk(
     methods: tuple[str, ...],
-    candidates: np.ndarray,
+    stack: np.ndarray,
     cfg: ExperimentConfig,
     p: int,
     trial_seeds,
     r: int,
 ) -> dict[str, np.ndarray]:
-    """Locations (B, p) per study method on a stack of candidates (B, n, r), one trial seed each.
+    """Locations (B, p) per study method on a component-major stack (B, s, r, dof), one seed each.
 
-    Every scalar-greedy component runs in one kernel call on the stacked
-    component blocks; each block's picks map back to its own method.
+    Vector greedy runs on the stack as it is and every scalar-greedy component in one more
+    call on its free reshape (B*s, 1, r, dof); only convex reads each candidate as (n, r).
     """
     s, npc = cfg.components, cfg.n_per_component
     picks: dict[str, np.ndarray] = {}
@@ -262,16 +262,17 @@ def _select_chunk(
             seeds = [_stream_seed(seed, _RANDOM_STREAM, r) for seed in trial_seeds]
             picks[method] = np.array([select_random(npc, p, seed).locations for seed in seeds])
         elif base == METHOD_CONVEX:
-            picks[method] = np.array([select_convex(c, p, s).locations for c in candidates])
+            picks[method] = np.array([select_convex(c.transpose(0, 2, 1).reshape(-1, r), p, s)
+                                      .locations for c in stack])
         elif component is None:
-            picks[method] = _greedy(candidates.transpose(0, 2, 1), p, s)[0]
+            picks[method] = _greedy(stack, p)[0]
         else:
-            components[method] = component
+            components[method] = component - 1
     if components:
-        blocks = np.stack([candidates[:, (k - 1) * npc : k * npc].transpose(0, 2, 1)
-                           for k in components.values()])
-        found = _greedy(blocks.reshape(-1, r, npc), p, 1)[0]
-        picks.update(zip(components, found.reshape(len(components), -1, p)))
+        ks = list(components.values())
+        scalar = stack if ks == list(range(s)) else stack[:, ks]
+        found = _greedy(scalar.reshape(-1, 1, r, npc), p)[0].reshape(len(stack), len(ks), p)
+        picks.update(zip(components, found.swapaxes(0, 1)))
     return picks
 
 
@@ -283,31 +284,31 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     the square budget p = r/s and records ``ln |det C|`` of the stacked
     measurement matrix.  Trials whose measurement matrix is singular count as
     skipped for that cell.  Trials run in chunks of about 2 MiB of
-    candidates: each rank's candidates of a chunk are drawn at once, vector
-    greedy selects on all of them in one kernel call and every scalar
-    component on all of them in one more, and the measurement matrices of
-    every method of the chunk are scored in one stacked QR.
+    candidates, each rank's held in one component-major stack: vector greedy
+    selects on all of them in one kernel call and every scalar component on
+    all of them in one more, and the measurement matrices of every method of
+    the chunk are scored in one stacked QR.
     """
     start = time.perf_counter()
     values: dict[tuple[str, int], list[float]] = {
         (m, r): [] for m in cfg.methods for r in cfg.r_values
     }
-    s = cfg.components
-    n = s * cfg.n_per_component
+    s, npc = cfg.components, cfg.n_per_component
     for r in cfg.r_values:
         p = r // s
-        chunk = _trial_chunk(n, r)
+        chunk = _trial_chunk(s * npc, r)
+        draw = np.empty((s * npc, r))
         for first in range(0, cfg.trials, chunk):
             seeds = range(cfg.base_seed + first, cfg.base_seed + min(first + chunk, cfg.trials))
-            candidates = np.empty((len(seeds), n, r))
-            for candidate, trial_seed in zip(candidates, seeds):
-                _data_rng(trial_seed, r).standard_normal(out=candidate)
-            picks = _select_chunk(cfg.methods, candidates, cfg, p, seeds, r)
-            # Each selection's rows in ``SensorSelection.selected_rows`` order.
+            stack = np.empty((len(seeds), s, r, npc))
+            for member, trial_seed in zip(stack, seeds):
+                _data_rng(trial_seed, r).standard_normal(out=draw)
+                member[...] = draw.reshape(s, npc, r).transpose(0, 2, 1)
+            picks = _select_chunk(cfg.methods, stack, cfg, p, seeds, r)
+            # Row k*s + j of each C is component j at its k-th location, as in ``selected_rows``.
             locs = np.stack(list(picks.values()))
-            rows = locs[..., None] + cfg.n_per_component * np.arange(s)
-            rows = rows.reshape(*locs.shape[:2], -1)
-            scores = linalg.log_row_volume(candidates[np.arange(len(seeds))[:, None], rows])
+            rows = stack[np.arange(len(seeds))[:, None], :, :, locs]
+            scores = linalg.log_row_volume(rows.reshape(*locs.shape[:2], -1, r))
             for method, row in zip(picks, scores):
                 values[(method, r)].extend(float(v) for v in row if np.isfinite(v))
     return _aggregate(
@@ -355,10 +356,11 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         basis = compute_pod(data, r)
         true_amps = mode_amplitudes(basis, data)
         centered = data.data - basis.mean[:, None]
+        stack = basis.modes.reshape(s, -1, r).transpose(0, 2, 1)[None]
         p = r // s
 
         def models_of(methods: tuple[str, ...], trial_seed: int) -> dict:
-            picks = _select_chunk(methods, basis.modes[None], cfg, p, (trial_seed,), r)
+            picks = _select_chunk(methods, stack, cfg, p, (trial_seed,), r)
             return {m: build_model(basis, SensorSelection(
                 tuple(locs[0].tolist()), s, cfg.n_per_component, _study_methods(s)[m][0]
             )) for m, locs in picks.items()}

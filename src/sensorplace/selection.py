@@ -142,21 +142,20 @@ def _candidate_array(candidate, sensors: int, components: int | None) -> tuple[n
 _RECOMPUTE_RATIO = np.sqrt(np.finfo(np.float64).eps)
 
 
-def _residual(flat: np.ndarray, q: np.ndarray, members: np.ndarray, locs: np.ndarray, s: int):
+def _residual(stack: np.ndarray, q: np.ndarray, members: np.ndarray, locs: np.ndarray):
     """Rows (m, r, s) of each (member, location) pair, projected twice off ``q[member]``."""
-    cols = locs[:, None] + (flat.shape[2] // s) * np.arange(s)
-    rows = flat[members[:, None], :, cols].swapaxes(1, 2)
+    rows = stack[members, :, :, locs].swapaxes(1, 2)
     basis = q[members]
     for _ in range(2):
         rows = rows - basis @ (basis.swapaxes(1, 2) @ rows)
     return rows
 
 
-def _ldl_pivots(gram: dict, s: int, cut: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """Write the LDL^T pivots of the Grams ``gram[j, k]``, j <= k, into ``piv`` (s, B, dof) in
-    component order; returns where elimination cancels one below sqrt(eps) of its diagonal.
+def _ldl_pivots(gram: dict, cut: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """Write the LDL^T pivots of the s x s Grams ``gram[j, k]``, j <= k, into ``piv`` (s, B, dof)
+    in component order; returns where elimination cancels one below sqrt(eps) of its diagonal.
     The first pivot is its Gram entry: a negative one already fails the recompute test."""
-    a = dict(gram)
+    a, s = dict(gram), len(piv)
     cancelled = np.zeros(piv.shape[1:], dtype=bool)
     piv[0] = gram[0, 0]
     for j in range(1, s):
@@ -169,11 +168,11 @@ def _ldl_pivots(gram: dict, s: int, cut: np.ndarray, piv: np.ndarray) -> np.ndar
     return cancelled
 
 
-def _greedy(flat: np.ndarray, sensors: int, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy determinant maximization on a transposed stack (B, r, n) of candidates.
+def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy determinant maximization on a component-major stack (B, s, r, dof) of candidates.
 
-    ``flat[b, :, i + dof*j]`` is row i + dof*j of member b.  It is only read,
-    after a copy if it is not C-contiguous, so results do not depend on its layout.
+    ``stack[b, j, :, i]`` is row i + dof*j of member b.  It is only read, after
+    a copy if it is not C-contiguous, so results do not depend on its layout.
     Returns the picks, step gains and step margins, each (B, sensors), and
     raises ``ExhaustionError`` at the first step where some member has no
     live location.  A location scores the squared volume its s rows add to
@@ -184,16 +183,14 @@ def _greedy(flat: np.ndarray, sensors: int, s: int) -> tuple[np.ndarray, np.ndar
     the locations the ``_RECOMPUTE_RATIO`` tests flag are re-formed from
     their rows.
     """
-    flat = np.ascontiguousarray(flat)
-    batch, r, n = flat.shape
-    dof = n // s
-    comp = flat.reshape(batch, r, s, dof)
-    gram = {(j, k): np.einsum("brl,brl->bl", comp[:, :, j], comp[:, :, k])
+    stack = np.ascontiguousarray(stack)
+    batch, s, r, dof = stack.shape
+    gram = {(j, k): np.einsum("brl,brl->bl", stack[:, j], stack[:, k])
             for j in range(s) for k in range(j, s)}
     max_norm = np.sqrt(np.max([gram[j, j].max(axis=1) for j in range(s)], axis=0))[:, None]
     cut = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
     piv = np.empty((s, batch, dof))
-    cancelled = _ldl_pivots(gram, s, cut, piv)
+    cancelled = _ldl_pivots(gram, cut, piv)
     limit = _RECOMPUTE_RATIO * max_norm * np.sqrt(np.maximum(piv, 0.0))
     q = np.zeros((batch, r, 0))
     every = np.arange(batch)
@@ -205,7 +202,7 @@ def _greedy(flat: np.ndarray, sensors: int, s: int) -> tuple[np.ndarray, np.ndar
         stale = alive & (cancelled | ~(piv >= limit).all(axis=0))
         if stale.any():
             members, locs = np.nonzero(stale)
-            rfac = np.linalg.qr(_residual(flat, q, members, locs, s), mode="r")
+            rfac = np.linalg.qr(_residual(stack, q, members, locs), mode="r")
             for (j, k), g in gram.items():
                 g[members, locs] = np.einsum("mi,mi->m", rfac[:, :, j], rfac[:, :, k])
             piv[:, members, locs] = fresh = np.diagonal(rfac, axis1=1, axis2=2).T ** 2
@@ -215,7 +212,7 @@ def _greedy(flat: np.ndarray, sensors: int, s: int) -> tuple[np.ndarray, np.ndar
         if not (scores[every, pick] > 0.0).all():
             raise ExhaustionError(f"all remaining locations are degenerate at step {step + 1}",
                                   step=step + 1)
-        basis, rfac = np.linalg.qr(_residual(flat, q, every, pick, s))
+        basis, rfac = np.linalg.qr(_residual(stack, q, every, pick))
         picks[:, step] = pick
         gains[:, step] = np.prod(np.diagonal(rfac, axis1=1, axis2=2) ** 2, axis=1)
         np.divide(piv[:, every, pick].min(axis=0), cut[:, 0], out=margins[:, step],
@@ -223,19 +220,19 @@ def _greedy(flat: np.ndarray, sensors: int, s: int) -> tuple[np.ndarray, np.ndar
         alive[every, pick] = False
         if step + 1 < sensors:
             q = np.concatenate((q, basis), axis=2)
-            w = (basis.swapaxes(1, 2) @ flat).reshape(batch, s, s, dof)
+            w = basis.swapaxes(1, 2)[:, None] @ stack
             for (j, k), g in gram.items():
-                g -= np.einsum("bml,bml->bl", w[:, :, j], w[:, :, k])
-            cancelled = _ldl_pivots(gram, s, cut, piv)
+                g -= np.einsum("bml,bml->bl", w[:, j], w[:, k])
+            cancelled = _ldl_pivots(gram, cut, piv)
     return picks, gains, margins
 
 
 def _select_greedy(matrix: np.ndarray, sensors: int, s: int, method: str) -> SensorSelection:
     """``_greedy`` on one candidate (n, r), as its ``SensorSelection``."""
-    picks, gains, margins = _greedy(matrix.T[None], sensors, s)
+    dof = matrix.shape[0] // s
+    picks, gains, margins = _greedy(matrix.reshape(s, dof, -1).transpose(0, 2, 1)[None], sensors)
     return SensorSelection(
-        locations=tuple(picks[0].tolist()), components=s,
-        dof_per_component=matrix.shape[0] // s, method=method,
+        locations=tuple(picks[0].tolist()), components=s, dof_per_component=dof, method=method,
         step_gains=tuple(gains[0].tolist()), step_margins=tuple(margins[0].tolist()),
     )
 

@@ -85,6 +85,17 @@ class TestSelectCommand:
                         "-m", "random", "-p", "2", "-s", "2", "--seed", "77"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("seed, code", [(-1, 2), (2**64 - 1, 0), (2**64, 2), (2**70, 2)])
+    def test_seed_must_fit_64_bits(self, tmp_path, capsys, seed, code):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.eye(4))
+        out = tmp_path / "sel.csv"
+        assert run(["select", str(modes), str(out), "-m", "random", "-p", "2",
+                    "--seed", str(seed)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "non-negative 64-bit integer" in capsys.readouterr().err
+
     def test_budget_violation_exits_3_quoting_constraint(self, tmp_path, capsys):
         modes = tmp_path / "modes.csv"
         fileio.write_matrix(modes, np.random.default_rng(1).standard_normal((12, 4)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ class TestRandomBenchmark:
             assert cell.mean == pytest.approx(mean, rel=1e-12), (cell.method, cell.r)
             assert cell.std == pytest.approx(std, rel=1e-9), (cell.method, cell.r)
 
+
+    @pytest.mark.parametrize("r, n_per_component, trials", [(10, 1000, 13), (8, 4000, 4),
+                                                             (20, 2000, 5)])
+    def test_peak_memory_stays_near_one_chunk(self, r, n_per_component, trials):
+        # The study holds one chunk of candidates and selects on it in place:
+        # no transposed copy of the chunk and no stacked copy of its component
+        # blocks.  The warm-up call keeps one-time allocations out of the peak.
+        cfg = ExperimentConfig(r_values=(r,), base_seed=3, n_per_component=n_per_component,
+                               components=2, trials=trials)
+        n = cfg.components * n_per_component
+        chunk_bytes = min(experiments._trial_chunk(n, r), trials) * n * r * 8
+        run_random_benchmark(cfg)
+        tracemalloc.start()
+        try:
+            run_random_benchmark(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * chunk_bytes
 
 class TestSyntheticFlow:
     def test_numerical_rank(self):

@@ -412,9 +412,9 @@ class TestRecomputePath:
         calls = []
         residual = selection._residual
 
-        def spy(flat, q, members, locs, s):
+        def spy(stack, q, members, locs):
             calls.append(locs.tolist())
-            return residual(flat, q, members, locs, s)
+            return residual(stack, q, members, locs)
 
         monkeypatch.setattr(selection, "_residual", spy)
         sel = select_scalar_greedy(candidate, 6)
@@ -474,20 +474,36 @@ class TestBatchedKernel:
                 alone.append(select_vector_greedy(member, picks, components=s))
             except ExhaustionError as exc:
                 alone.append(exc.step)
-        stack = np.stack(members).transpose(0, 2, 1)
+        stack = np.stack([m.reshape(s, dof, r).transpose(0, 2, 1) for m in members])
         steps = [result for result in alone if isinstance(result, int)]
         if steps:
             # The batch stops at the first step where some member exhausts.
             with pytest.raises(ExhaustionError) as info:
-                _greedy(stack, picks, s)
+                _greedy(stack, picks)
             assert info.value.step == min(steps)
             return
-        locations, gains, margins = _greedy(stack, picks, s)
+        locations, gains, margins = _greedy(stack, picks)
         assert locations.shape == gains.shape == margins.shape == (len(members), picks)
         for b, sel in enumerate(alone):
             assert tuple(locations[b].tolist()) == sel.locations
             assert tuple(gains[b].tolist()) == sel.step_gains
             assert tuple(margins[b].tolist()) == sel.step_margins
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_results_do_not_depend_on_the_stack_layout(self, s):
+        # Two non-contiguous views of the same values: every other column of a
+        # wider array, and the natural view of (n, r) candidates, each
+        # location's r entries contiguous.
+        rng = np.random.default_rng(58 + s)
+        dof, r = 15, 3 * s
+        rows = rng.standard_normal((4, s, dof, r)) * np.logspace(0, -9, r)
+        stack = np.ascontiguousarray(rows.swapaxes(2, 3))
+        big = np.zeros((4, s, r, 2 * dof))
+        big[..., ::2] = stack
+        expected = [a.tobytes() for a in _greedy(stack, 3)]
+        for view in (big[..., ::2], rows.swapaxes(2, 3)):
+            assert not view.flags.c_contiguous
+            assert [a.tobytes() for a in _greedy(view, 3)] == expected
 
     def test_read_only_candidate_is_left_unchanged(self):
         candidate = np.random.default_rng(55).standard_normal((2 * 30, 8))
