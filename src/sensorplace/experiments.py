@@ -13,13 +13,15 @@ independent streams within a trial are derived from it with fixed tags,
 * observation-noise seed: ``SeedSequence([trial_seed, 2, r]).generate_state(1)[0]``
 
 so all methods inside one trial see identical data and co-located noise
-(paired trials), and reruns with the same config are bit-identical.
+(paired trials), and reruns with the same config are bit-identical.  A worker
+thread draws the random benchmark's next chunk; the values do not depend on it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -287,30 +289,53 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     candidates, each rank's held in one component-major stack: vector greedy
     selects on all of them in one kernel call and every scalar component on
     all of them in one more, and the measurement matrices of every method of
-    the chunk are scored in one stacked QR.
+    the chunk are scored in one stacked QR.  While a chunk is selected, a worker
+    thread draws the next, of any rank; the values do not depend on the worker.
     """
     start = time.perf_counter()
     values: dict[tuple[str, int], list[float]] = {
         (m, r): [] for m in cfg.methods for r in cfg.r_values
     }
     s, npc = cfg.components, cfg.n_per_component
-    for r in cfg.r_values:
-        p = r // s
-        chunk = _trial_chunk(s * npc, r)
-        draw = np.empty((s * npc, r))
-        for first in range(0, cfg.trials, chunk):
-            seeds = range(cfg.base_seed + first, cfg.base_seed + min(first + chunk, cfg.trials))
-            stack = np.empty((len(seeds), s, r, npc))
-            for member, trial_seed in zip(stack, seeds):
+    jobs = [(r, range(cfg.base_seed + first, cfg.base_seed + min(first + chunk, cfg.trials)))
+            for r in cfg.r_values for chunk in [_trial_chunk(s * npc, r)]
+            for first in range(0, cfg.trials, chunk)]
+    failures: list[BaseException] = []
+
+    def fill(todo, draw: np.ndarray, r: int) -> None:
+        try:
+            for member, trial_seed in todo:
                 _data_rng(trial_seed, r).standard_normal(out=draw)
                 member[...] = draw.reshape(s, npc, r).transpose(0, 2, 1)
-            picks = _select_chunk(cfg.methods, stack, cfg, p, seeds, r)
+        except BaseException as exc:  # raised on the caller's thread after the join
+            failures.append(exc)
+
+    def draw_ahead(r: int, seeds: range):
+        stack = np.empty((len(seeds), s, r, npc))  # allocated on this thread
+        todo = zip(stack, seeds)  # each trial is drawn by the thread that takes it first
+        worker = threading.Thread(target=fill, args=(todo, np.empty((s * npc, r)), r))
+        worker.start()
+        return stack, todo, worker
+
+    ahead, todo, worker = draw_ahead(*jobs[0])
+    try:
+        for i, (r, seeds) in enumerate(jobs):
+            fill(todo, np.empty((s * npc, r)), r)  # the trials the worker has not reached
+            worker.join()
+            if failures:
+                raise failures[0]
+            stack = ahead  # frees the previous chunk before the next is allocated
+            if i + 1 < len(jobs):
+                ahead, todo, worker = draw_ahead(*jobs[i + 1])
+            picks = _select_chunk(cfg.methods, stack, cfg, r // s, seeds, r)
             # Row k*s + j of each C is component j at its k-th location, as in ``selected_rows``.
             locs = np.stack(list(picks.values()))
             rows = stack[np.arange(len(seeds))[:, None], :, :, locs]
             scores = linalg.log_row_volume(rows.reshape(*locs.shape[:2], -1, r))
             for method, row in zip(picks, scores):
                 values[(method, r)].extend(float(v) for v in row if np.isfinite(v))
+    finally:
+        worker.join()
     return _aggregate(
         "random-benchmark",
         "log_det",

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -149,12 +150,52 @@ class TestRandomBenchmark:
             assert cell.std == pytest.approx(std, rel=1e-9), (cell.method, cell.r)
 
 
+    @pytest.mark.parametrize("fail_in", [None, "draw", "select"])
+    def test_failure_in_a_later_chunk_is_raised_and_no_thread_outlives_the_call(
+        self, fail_in, monkeypatch
+    ):
+        # Five chunks over two ranks; the worker draws the next chunk while one
+        # is selected.  A failure while drawing the last chunk (on whichever
+        # thread draws that trial) or while selecting the second is raised here,
+        # and the worker is joined on every exit path.
+        cfg = small_benchmark_config()
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * 8 * 50 * 4)
+
+        class Planted(RuntimeError):
+            pass
+
+        data_rng, select_chunk, selected = experiments._data_rng, experiments._select_chunk, []
+
+        def failing_data_rng(trial_seed, r):
+            if fail_in == "draw" and (trial_seed, r) == (cfg.base_seed + 7, 4):
+                raise Planted
+            return data_rng(trial_seed, r)
+
+        def failing_select_chunk(*args):
+            selected.append(args[-1])
+            if fail_in == "select" and len(selected) == 2:
+                raise Planted
+            return select_chunk(*args)
+
+        monkeypatch.setattr(experiments, "_data_rng", failing_data_rng)
+        monkeypatch.setattr(experiments, "_select_chunk", failing_select_chunk)
+        threads = threading.active_count()
+        if fail_in is None:
+            run_random_benchmark(cfg)
+            assert selected == [2, 2, 4, 4, 4]
+        else:
+            with pytest.raises(Planted):
+                run_random_benchmark(cfg)
+            assert len(selected) == (2 if fail_in == "select" else 4)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("r, n_per_component, trials", [(10, 1000, 13), (8, 4000, 4),
-                                                             (20, 2000, 5)])
+                                                             (20, 2000, 5), (10, 1000, 26)])
     def test_peak_memory_stays_near_one_chunk(self, r, n_per_component, trials):
-        # The study holds one chunk of candidates and selects on it in place:
-        # no transposed copy of the chunk and no stacked copy of its component
-        # blocks.  The warm-up call keeps one-time allocations out of the peak.
+        # The study holds the chunk being selected plus the one being drawn, and
+        # selects in place: no transposed copy of a chunk and no stacked copy of
+        # its component blocks.  The warm-up call keeps one-time allocations out
+        # of the peak.
         cfg = ExperimentConfig(r_values=(r,), base_seed=3, n_per_component=n_per_component,
                                components=2, trials=trials)
         n = cfg.components * n_per_component

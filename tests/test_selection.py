@@ -376,12 +376,21 @@ class TestRecomputePath:
 
     @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
         "FOUND in CHANGES.md: the zero rule misses a dependency inside one location"))
-    def test_rank_short_example_completes_instead_of_exhausting(self):
-        # A falsifying example of the property test above: the second step
-        # gains 7.5e-39 where fewer than s = 3 directions remain.
-        candidate = rank_short_candidate(3, 1, 1, 4, 59351364)
+    @pytest.mark.parametrize("s, picks, short, spare_locations, seed", [
+        (3, 1, 1, 4, 59351364),  # last step gain 7.5e-39
+        (2, 3, 1, 5, 2),  # 5.9e-37
+        (3, 3, 1, 4, 1727),  # 3.9e-40
+        (2, 3, 1, 5, 182),  # 1.6e-37
+        (2, 2, 1, 4, 153124),  # 1.3e-37
+    ])
+    def test_rank_short_example_completes_instead_of_exhausting(
+        self, s, picks, short, spare_locations, seed
+    ):
+        # Falsifying examples of the property test above: the last step gains
+        # 1e-40 to 1e-36 where fewer than s directions remain.
+        candidate = rank_short_candidate(s, picks, short, spare_locations, seed)
         with pytest.raises(ExhaustionError):
-            select_vector_greedy(candidate, 2, components=3)
+            select_vector_greedy(candidate, picks + 1, components=s)
 
     @settings(deadline=None, max_examples=60)
     @given(
