@@ -300,29 +300,33 @@ def select_random(
     )
 
 
-# Projected gradient ascent in select_convex: the iteration cap, the
-# tolerance on the projected-gradient norm, the Armijo constant, the
-# backtracking factor, and the first and smallest trial steps.
+# Projected gradient ascent in select_convex: the step cap, the projected-gradient
+# tolerance, the Armijo constant, the backtracking factor and the smallest trial step.
 _CONVEX_MAX_ITERS = 2000
 _CONVEX_GRAD_TOL = 1e-6
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-_INITIAL_STEP = 1.0
 _MIN_STEP = 1e-14
 
 
-def _project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto ``{z : 0 <= z <= 1, sum(z) = total}``."""
-    # sum(clip(x - tau, 0, 1)) is non-increasing in tau; bisect for the root.
-    lo = float(x.min()) - 1.0
-    hi = float(x.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(x - mid, 0.0, 1.0).sum() > total:
+def _project_capped_simplex(x: np.ndarray, total: int) -> np.ndarray:
+    """Euclidean projection ``clip(x - tau, 0, 1)`` onto ``{z : 0 <= z <= 1, sum(z) = total}``.
+
+    A binary search over the sorted knots ``x - 1`` and ``x`` finds the segment where ``g(tau)
+    = sum(clip(x - tau, 0, 1))`` falls to the integer total, and on it ``tau = (sum(x_free) +
+    #ones - total) / #free``.
+    """
+    knots = np.sort(np.concatenate((x - 1.0, x)))
+    lo, hi = 0, knots.size - 1  # g(knots[lo]) > total >= g(knots[hi]), or total = x.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.clip(x - knots[mid], 0.0, 1.0).sum() > total:
             lo = mid
         else:
             hi = mid
-    return np.clip(x - 0.5 * (lo + hi), 0.0, 1.0)
+    free = (x - 1.0 <= knots[lo]) & (x > knots[lo])
+    tau = (x[free].sum() + np.count_nonzero(x - 1.0 > knots[lo]) - total) / np.count_nonzero(free)
+    return np.clip(x - tau, 0.0, 1.0)
 
 
 def _relaxation_logdet(
@@ -342,27 +346,27 @@ def _relaxation_logdet(
 
 def _relaxation_gradient(matrix: np.ndarray, chol: np.ndarray, s: int) -> np.ndarray:
     """``tr(info^-1 A_i^T A_i) = ||L^-1 A_i^T||_F^2`` per location i."""
-    half = np.linalg.solve(chol, matrix.T)
-    return np.einsum("ij,ij->j", half, half).reshape(s, -1).sum(axis=0)
+    half = matrix @ np.linalg.inv(chol).T
+    return np.einsum("ij,ij->i", half, half).reshape(s, -1).sum(axis=0)
 
 
 def select_convex(candidate, sensors: int, components: int | None = None) -> SensorSelection:
     """Relax-and-round vector-sensor selection.
 
-    Solves ``maximize log det(sum_i z_i A_i^T A_i + ridge)`` over the capped
-    simplex ``z in [0, 1]^(n/s), sum z = p`` by projected gradient ascent with
-    Armijo backtracking (``A_i`` is the s x r row block of location i; the
-    ridge, ``1e-9 ||A||_F^2 / r`` times the identity, keeps the objective
-    finite while z is spread thin), then keeps the p largest entries of z,
-    ties to the lowest index.  Each trial iterate costs one product
-    ``A^T diag(w) A`` and one Cholesky factorization, in O(n r) memory.
+    Maximizes ``log det(sum_i z_i A_i^T A_i + ridge)`` over the capped simplex ``z in
+    [0, 1]^(n/s), sum z = p`` (``A_i`` the s x r row block of location i; the ridge,
+    ``1e-9 ||A||_F^2 / r`` times the identity, keeps it finite while z is spread thin),
+    then keeps the p largest entries of z, ties to the lowest index.  The solver is
+    projected gradient ascent with the Armijo rule along the projection arc: each step
+    tries the unit step first, then halves it.  A trial point costs one exact projection,
+    one product ``A^T diag(w) A`` and one Cholesky factorization, in O(n r) memory.
     ``relaxation_objective`` is half the optimum, in ``score_logdet`` units.
 
     Raises
     ------
     ConvexSolverError
-        If the projected-gradient norm has not dropped to 1e-6 within 2000
-        iterations.
+        If the projected-gradient norm is above 1e-6 after 2000 steps, or at once when
+        a step's backtracking falls below 1e-14.
     """
     matrix, s = _candidate_array(candidate, sensors, components)
     n, r = matrix.shape
@@ -372,40 +376,35 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
         raise ValueError("candidate matrix is identically zero")
     ridge = 1e-9 * trace_scale * np.eye(r)
 
-    z = _project_capped_simplex(np.full(dof, sensors / dof), float(sensors))
+    z = np.full(dof, sensors / dof)
     f_curr, chol = _relaxation_logdet(matrix, z, s, ridge)
-    step = _INITIAL_STEP
-    # Pass k tests the iterate after k steps, up to _CONVEX_MAX_ITERS steps.
-    for _ in range(_CONVEX_MAX_ITERS + 1):
+    # Pass k tests the iterate after k steps by how far its unit step's projection moves it.
+    for steps in range(_CONVEX_MAX_ITERS + 1):
         grad = _relaxation_gradient(matrix, chol, s)
-        pg_norm = float(np.linalg.norm(_project_capped_simplex(z + grad, float(sensors)) - z))
-        if pg_norm <= _CONVEX_GRAD_TOL:
+        t, z_new = 1.0, _project_capped_simplex(z + grad, sensors)
+        pg_norm = float(np.linalg.norm(z_new - z))
+        if pg_norm <= _CONVEX_GRAD_TOL or steps == _CONVEX_MAX_ITERS:
             break
-        t = step
-        while True:
-            z_new = _project_capped_simplex(z + t * grad, float(sensors))
-            f_new, chol_new = _relaxation_logdet(matrix, z_new, s, ridge)
-            direction = z_new - z
-            if f_new >= f_curr + _ARMIJO_C * float(grad @ direction):
-                break
+        f_new, chol_new = _relaxation_logdet(matrix, z_new, s, ridge)
+        while f_new < f_curr + _ARMIJO_C * float(grad @ (z_new - z)):
             t *= _BACKTRACK
             if t < _MIN_STEP:
-                z_new, f_new, chol_new = z, f_curr, chol
                 break
+            z_new = _project_capped_simplex(z + t * grad, sensors)
+            f_new, chol_new = _relaxation_logdet(matrix, z_new, s, ridge)
+        if t < _MIN_STEP:
+            break
         z, f_curr, chol = z_new, f_new, chol_new
-        step = min(t / _BACKTRACK, _INITIAL_STEP)
-    else:
+    if pg_norm > _CONVEX_GRAD_TOL:
         raise ConvexSolverError(
-            f"projected-gradient norm {pg_norm:.3e} above tolerance "
-            f"{_CONVEX_GRAD_TOL:.1e} after {_CONVEX_MAX_ITERS} iterations",
+            f"projected-gradient norm {pg_norm:.3e} above tolerance {_CONVEX_GRAD_TOL:.1e} "
+            f"after {steps} steps{', line search stalled' if t < _MIN_STEP else ''}",
             gradient_norm=pg_norm,
         )
 
     # Round: keep the p largest weights, ties to the lowest index.
-    order = np.argsort(-z, kind="stable")
-    locations = tuple(int(i) for i in order[:sensors])
     return SensorSelection(
-        locations=locations,
+        locations=np.argsort(-z, kind="stable")[:sensors],
         components=s,
         dof_per_component=dof,
         method=METHOD_CONVEX,

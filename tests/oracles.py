@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's own code paths: determinants
 by cofactor expansion, greedy step optimality by exhaustive enumeration over
 remaining candidates, in floating point or exactly in integer arithmetic
 (fraction-free Bareiss elimination of Gram matrices), whole greedy runs by
-re-projecting every location from scratch at every step, CSV files by plain
-line-by-line parsing, and the random-candidate study by its plain per-trial
-loop over the public selectors.
+re-projecting every location from scratch at every step, the capped-simplex
+projection by 100 bisection passes, CSV files by plain line-by-line parsing,
+and the random-candidate study by its plain per-trial loop over the public
+selectors.
 """
 
 from __future__ import annotations
@@ -175,6 +176,20 @@ def explicit_greedy(candidate: np.ndarray, sensors: int, components: int, rtol: 
         locations.append(best_loc)
         gains.append(best)
     return locations, gains, None
+
+
+def bisect_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection onto ``{z : 0 <= z <= 1, sum(z) = total}``."""
+    # sum(clip(x - tau, 0, 1)) is non-increasing in tau; bisect for the root.
+    lo = float(x.min()) - 1.0
+    hi = float(x.max())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.clip(x - mid, 0.0, 1.0).sum() > total:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(x - 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def read_matrix_lines(path, header: bool = False):

@@ -19,7 +19,12 @@ from sensorplace.selection import (
     _greedy,
 )
 
-from oracles import exact_step_violations, exhaustive_step_argmax, explicit_greedy
+from oracles import (
+    bisect_capped_simplex,
+    exact_step_violations,
+    exhaustive_step_argmax,
+    explicit_greedy,
+)
 
 
 class TestSensorSelection:
@@ -608,6 +613,54 @@ class TestConvex:
         with pytest.raises(ConvexSolverError) as info:
             select_convex(candidate, 3, components=2)
         assert info.value.gradient_norm > 0.0
+
+    def test_stalled_line_search_raises_at_once(self, monkeypatch):
+        # No trial step can meet this Armijo constant, so the first step's
+        # backtracking runs below the smallest step and ends the solve.
+        candidate = np.random.default_rng(53).standard_normal((2 * 25, 6))
+        monkeypatch.setattr(selection, "_ARMIJO_C", 1e6)
+        logdet, calls = selection._relaxation_logdet, []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 50, "the solve went on after its line search stalled"
+            return logdet(*args)
+
+        monkeypatch.setattr(selection, "_relaxation_logdet", counted)
+        with pytest.raises(ConvexSolverError, match="stalled") as info:
+            select_convex(candidate, 3, components=2)
+        assert info.value.gradient_norm > 0.0
+
+    def test_tall_orthonormal_candidate_keeps_its_picks(self):
+        # A projection whose sum is off by about 1e-12 stalls the line search here.
+        q = np.linalg.qr(np.random.default_rng(900).standard_normal((2000, 20)))[0]
+        assert select_convex(q, 10, components=2).locations == (
+            461, 842, 284, 934, 245, 465, 755, 142, 991, 129)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 300),
+        scale_exp=st.floats(-3.0, 3.0),
+        shift=st.floats(-1e3, 1e3),
+        kind=st.sampled_from(["gaussian", "ties", "start"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_projection_matches_bisection_oracle(self, n, scale_exp, shift, kind, seed, data):
+        total = data.draw(st.integers(1, n), label="total")
+        scale = 10.0**scale_exp
+        x = np.random.default_rng(seed).standard_normal(n) * scale + shift
+        if kind == "ties":
+            x = np.round(x / scale, 1) * scale
+        elif kind == "start":
+            x = np.full(n, total / n)
+        z = selection._project_capped_simplex(x, total)
+        size = max(1.0, float(np.abs(x).max()))
+        assert np.all((z >= 0.0) & (z <= 1.0))
+        assert abs(z.sum() - total) <= 1e-9
+        assert np.abs(z - bisect_capped_simplex(x, float(total))).max() <= 1e-10 * size
+        taus = (x - z)[(z > 0.0) & (z < 1.0)]  # one tau fits every free entry
+        assert taus.size == 0 or taus.max() - taus.min() <= 1e-12 * size
 
     def test_slow_gaussian_instance_converges(self):
         # Needs more than 500 steps to reach the gradient tolerance.
