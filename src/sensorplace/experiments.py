@@ -31,7 +31,7 @@ from . import linalg
 from .evaluate import (
     _check_noise_sigma, _noise_field, build_model, reconstruct, reconstruction_error
 )
-from .pod import SnapshotMatrix, compute_pod, mode_amplitudes
+from .pod import SnapshotMatrix, compute_pod
 from .selection import (
     METHOD_CONVEX,
     METHOD_RANDOM,
@@ -206,32 +206,30 @@ def _aggregate(
     metric: str,
     cfg: ExperimentConfig,
     values: dict[tuple[str, int], list[float]],
-    method_order: tuple[str, ...],
     elapsed: float,
 ) -> ExperimentReport:
+    """One cell per ``(method, r)`` key of ``values``, in its key order."""
     cells = []
-    for method in method_order:
-        for r in cfg.r_values:
-            vals = values[(method, r)]
-            used = len(vals)
-            if used == 0:
-                mean, std = float("nan"), float("nan")
-            elif used == 1:
-                mean, std = float(vals[0]), 0.0
-            else:
-                mean = float(np.mean(vals))
-                std = float(np.std(vals, ddof=1))
-            cells.append(
-                ReportCell(
-                    method=method,
-                    r=r,
-                    p=r // cfg.components,
-                    mean=mean,
-                    std=std,
-                    trials=used,
-                    skipped=cfg.trials - used,
-                )
+    for (method, r), vals in values.items():
+        used = len(vals)
+        if used == 0:
+            mean, std = float("nan"), float("nan")
+        elif used == 1:
+            mean, std = float(vals[0]), 0.0
+        else:
+            mean = float(np.mean(vals))
+            std = float(np.std(vals, ddof=1))
+        cells.append(
+            ReportCell(
+                method=method,
+                r=r,
+                p=r // cfg.components,
+                mean=mean,
+                std=std,
+                trials=used,
+                skipped=cfg.trials - used,
             )
+        )
     return ExperimentReport(
         study=study,
         metric=metric,
@@ -243,23 +241,20 @@ def _aggregate(
 
 
 def _select_chunk(
-    methods: tuple[str, ...],
-    stack: np.ndarray,
-    cfg: ExperimentConfig,
-    p: int,
-    trial_seeds,
-    r: int,
+    methods: tuple[str, ...], stack: np.ndarray, trial_seeds
 ) -> dict[str, np.ndarray]:
     """Locations (B, p) per study method on a component-major stack (B, s, r, dof), one seed each.
 
-    Vector greedy runs on the stack as it is and every scalar-greedy component in one more
-    call on its free reshape (B*s, 1, r, dof); only convex reads each candidate as (n, r).
+    s, r and dof are read from the stack and the budget is the square p = r/s.  Vector greedy
+    runs on the stack as it is and every scalar-greedy component in one more call on its free
+    reshape (B*s, 1, r, dof); only convex reads each candidate as (n, r).
     """
-    s, npc = cfg.components, cfg.n_per_component
+    s, r, npc = stack.shape[1:]
+    p, table = r // s, _study_methods(s)
     picks: dict[str, np.ndarray] = {}
     components: dict[str, int] = {}
     for method in methods:
-        base, component = _study_methods(s)[method]
+        base, component = table[method]
         if base == METHOD_RANDOM:
             seeds = [_stream_seed(seed, _RANDOM_STREAM, r) for seed in trial_seeds]
             picks[method] = np.array([select_random(npc, p, seed).locations for seed in seeds])
@@ -327,7 +322,7 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
             stack = ahead  # frees the previous chunk before the next is allocated
             if i + 1 < len(jobs):
                 ahead, todo, worker = draw_ahead(*jobs[i + 1])
-            picks = _select_chunk(cfg.methods, stack, cfg, r // s, seeds, r)
+            picks = _select_chunk(cfg.methods, stack, seeds)
             # Row k*s + j of each C is component j at its k-th location, as in ``selected_rows``.
             locs = np.stack(list(picks.values()))
             rows = stack[np.arange(len(seeds))[:, None], :, :, locs]
@@ -341,7 +336,6 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
         "log_det",
         cfg,
         values,
-        cfg.methods,
         time.perf_counter() - start,
     )
 
@@ -367,30 +361,21 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
             f"data has {data.dof_per_component} dof per component, config expects "
             f"{cfg.n_per_component}"
         )
-    max_r = max(cfg.r_values)
-    if max_r > min(data.n_dof, data.n_snapshots):
-        raise ValueError(f"r={max_r} exceeds data dimensions {data.data.shape}")
-
     start = time.perf_counter()
-    method_order = cfg.methods + (METHOD_FULL_OBSERVATION,)
     values: dict[tuple[str, int], list[float]] = {
-        (m, r): [] for m in method_order for r in cfg.r_values
+        (m, r): [] for m in cfg.methods + (METHOD_FULL_OBSERVATION,) for r in cfg.r_values
     }
-    s = cfg.components
+    s, npc = cfg.components, cfg.n_per_component
+    fixed = tuple(m for m in cfg.methods if m != METHOD_RANDOM)
     for r in cfg.r_values:
         basis = compute_pod(data, r)
-        true_amps = mode_amplitudes(basis, data)
         centered = data.data - basis.mean[:, None]
+        true_amps = basis.modes.T @ centered
         stack = basis.modes.reshape(s, -1, r).transpose(0, 2, 1)[None]
         p = r // s
-
-        def models_of(methods: tuple[str, ...], trial_seed: int) -> dict:
-            picks = _select_chunk(methods, stack, cfg, p, (trial_seed,), r)
-            return {m: build_model(basis, SensorSelection(
-                tuple(locs[0].tolist()), s, cfg.n_per_component, _study_methods(s)[m][0]
-            )) for m, locs in picks.items()}
-
-        models = models_of(tuple(m for m in cfg.methods if m != METHOD_RANDOM), 0)
+        models = {m: build_model(basis, SensorSelection(
+            tuple(locs[0].tolist()), s, npc, _study_methods(s)[m][0]
+        )) for m, locs in _select_chunk(fixed, stack, ()).items()}
         for trial in range(cfg.trials):
             trial_seed = cfg.base_seed + trial
             # Every method and the reference observe this one noisy field.
@@ -399,7 +384,8 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
                 noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
                 y_full = centered + cfg.noise_sigma * _noise_field(data, noise_seed)
             if METHOD_RANDOM in cfg.methods:
-                models.update(models_of((METHOD_RANDOM,), trial_seed))
+                models[METHOD_RANDOM] = build_model(basis, select_random(
+                    npc, p, _stream_seed(trial_seed, _RANDOM_STREAM, r), components=s))
             for method in cfg.methods:
                 model = models[method]
                 result = reconstruct(model, y_full[list(model.selection.selected_rows)])
@@ -414,7 +400,6 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         "reconstruction_error",
         cfg,
         values,
-        method_order,
         time.perf_counter() - start,
     )
 

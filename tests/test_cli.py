@@ -259,6 +259,44 @@ class TestPipelineFidelity:
         got = fileio.read_matrix(amps_f)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
+    def test_header_option_skips_one_line_in_every_command(self, tmp_path, capsys):
+        # The pipeline runs twice: on plain CSVs, then on the same inputs with
+        # one header line prepended and --header.  Every written file and the
+        # printed error are byte-identical between the two runs.
+        from sensorplace.pod import mode_amplitudes
+
+        data = generate_synthetic_flow(20, 2, true_rank=6, n_snapshots=30, seed=29)
+        basis = compute_pod(data, 6)
+        selection = select_vector_greedy(basis, 3)
+        outputs = []
+        for header in (False, True):
+            root = tmp_path / f"header-{header}"
+            root.mkdir()
+            flag = ["--header"] if header else []
+
+            def given(path):
+                if not header:
+                    return str(path)
+                headed = path.with_name(f"headed-{path.name}")
+                headed.write_bytes(b"header line\n" + path.read_bytes())
+                return str(headed)
+
+            snaps, obs, truth = root / "snaps.csv", root / "obs.csv", root / "truth.csv"
+            fileio.write_matrix(snaps, data.data)
+            fileio.write_matrix(obs, observe(basis, selection, data, noise_sigma=0.05, seed=4))
+            fileio.write_matrix(truth, mode_amplitudes(basis, data))
+            written = [root / name for name in ("modes.csv", "sigma.csv", "sel.csv", "amps.csv")]
+            modes, sigma, sel, amps = written
+            assert run(["pod", given(snaps), str(modes), str(sigma),
+                        "-s", "2", "-r", "6", *flag]) == 0
+            assert run(["select", given(modes), str(sel),
+                        "-m", "vector-greedy", "-p", "3", "-s", "2", *flag]) == 0
+            assert run(["reconstruct", given(modes), str(sel), given(obs), str(amps),
+                        "--true-amplitudes", given(truth), *flag]) == 0
+            outputs.append([path.read_bytes() for path in written] + [capsys.readouterr().out])
+        assert outputs[0] == outputs[1]
+        assert float(outputs[1][-1]) > 0
+
 
 class TestBenchmarkCommand:
     def config(self, tmp_path, text):

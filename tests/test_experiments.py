@@ -172,7 +172,7 @@ class TestRandomBenchmark:
             return data_rng(trial_seed, r)
 
         def failing_select_chunk(*args):
-            selected.append(args[-1])
+            selected.append(args[1].shape[2])
             if fail_in == "select" and len(selected) == 2:
                 raise Planted
             return select_chunk(*args)
@@ -320,6 +320,14 @@ class TestReconstructionStudy:
         assert sorted(built) == sorted(
             ["vector-greedy", "convex", "scalar-greedy"] * 2 + ["random"] * 4 * 2
         )
+
+    def test_rank_above_data_dimensions_rejected(self):
+        # min(n_dof, n_snapshots) = 20; the config allows r up to s * n_per_component.
+        data = generate_synthetic_flow(30, 2, true_rank=8, n_snapshots=20, seed=16)
+        cfg = ExperimentConfig(r_values=(4, 22), base_seed=1, components=2,
+                               n_per_component=30, trials=1)
+        with pytest.raises(ValueError, match="rank 22 out of range"):
+            run_reconstruction_study(cfg, data)
 
     def test_data_shape_must_match_config(self):
         data = generate_synthetic_flow(30, 2, true_rank=8, n_snapshots=40, seed=16)

@@ -197,6 +197,17 @@ class TestVectorGreedy:
             shifted = score_logdet(build_model(c * candidate, scaled))
             assert shifted == pytest.approx(base_logdet + 6 * np.log(c), rel=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=ExhaustionError, reason=(
+        "FOUND in CHANGES.md: a location's score, the product of its squared "
+        "pivots, underflows under extreme scaling"))
+    def test_picks_survive_extreme_scaling(self):
+        # Powers of two scale exactly, so only the range of the scores can
+        # change the picks: at 2^-280 every score underflows to zero.
+        candidate = np.random.default_rng(48).standard_normal((14, 6))
+        base = select_vector_greedy(candidate, 3, components=2)
+        scaled = select_vector_greedy(2.0**-280 * candidate, 3, components=2)
+        assert scaled.locations == base.locations
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(49)
         candidate = rng.standard_normal((18, 6))  # s=2, 9 locations
@@ -387,6 +398,7 @@ class TestRecomputePath:
         (3, 3, 1, 4, 1727),  # 3.9e-40
         (2, 3, 1, 5, 182),  # 1.6e-37
         (2, 2, 1, 4, 153124),  # 1.3e-37
+        (2, 2, 1, 2, 31),  # 1.1e-36
     ])
     def test_rank_short_example_completes_instead_of_exhausting(
         self, s, picks, short, spare_locations, seed
