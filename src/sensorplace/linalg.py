@@ -5,9 +5,10 @@ takes a stack of matrices.  One zero rule decides singularity everywhere: a
 residual norm at or below ``RESIDUAL_RTOL * r * eps`` times the largest row
 norm counts as zero.  It is scale-relative, so orthonormal mode matrices and
 raw Gaussian candidate matrices behave identically under scaling, as long as
-the greedy's location scores (products of s squared pivots) stay in range:
-on Gaussian 20s x 6 candidates the picks held for scales from 2^-530 to 2^510
-at s = 1, 2^-260 to 2^190 at s = 2 and 2^-180 to 2^150 at s = 3.  The greedy
+the greedy's Grams stay in range: on Gaussian 20s x 6 candidates the picks
+held for scales from 2^-530 to 2^510 at s = 1 and 2 and to 2^500 at s = 3
+(its ``step_gains``, absolute squared volumes, saturate sooner: at s = 2 they
+are 0.0 at 2^-280 and inf at 2^300).  The greedy
 selectors apply it to residual pivots, and ``_zero_pivots`` to the diagonal of
 R in the QR factorization of ``C^T``, for ``log_row_volume``,
 ``log_abs_det`` and the factor each ``evaluate.MeasurementModel`` holds.

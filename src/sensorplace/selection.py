@@ -68,11 +68,13 @@ class SensorSelection:
     ``locations`` are 0-based location indices in ``[0, dof_per_component)``.
     ``selected_rows`` lists, per location in selection order, the s stacked
     rows ``loc + dof_per_component * j`` for components ``j = 0..s-1``.
-    ``step_gains`` (greedy only) are the squared volumes each pick added and
-    ``step_margins`` each winner's smallest pivot over the zero cutoff (both
-    squared norms).  ``relaxation_objective`` (convex only) is half of
-    ``ln det`` of the ridged relaxation optimum, so at a 0/1 weight vector on
-    a square budget it is ``score_logdet`` of the pick up to the ridge.
+    ``step_gains`` (greedy only) are the squared volumes each pick added, in
+    absolute units: at s = 2 they saturate to 0.0 at 2^-280 and inf at 2^300
+    while the picks hold (to 2^-530 and 2^510).  ``step_margins`` are each
+    winner's smallest pivot over the zero cutoff (both squared norms).
+    ``relaxation_objective`` (convex only) is half of ``ln det`` of the
+    ridged relaxation optimum, so at a 0/1 weight vector on a square budget
+    it is ``score_logdet`` of the pick up to the ridge.
     """
 
     locations: tuple[int, ...]
@@ -177,17 +179,25 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     raises ``ExhaustionError`` at the first step where some member has no
     live location.  A location scores the squared volume its s rows add to
     the picked rows, the product of the LDL^T pivots of its residual Gram in
-    component order (Saito et al., arXiv:1911.08757).  A pick downdates the
-    Grams by ``w w^T``, ``w = q^T A_i`` for the winner's orthonormalized rows
-    q: one read of the candidate.  Only the winner (for q and its gain) and
-    the locations the ``_RECOMPUTE_RATIO`` tests flag are re-formed from
-    their rows.
+    component order (Saito et al., arXiv:1911.08757).  Grams, pivots and
+    scores are kept scaled by the exact power of two that brings each
+    member's largest row norm into [0.5, 1), so scores neither underflow nor
+    overflow (by ``np.ldexp``: the factor itself, ``2.0**(2 * shift)``,
+    overflows for tiny candidates); the gains come from the unscaled rows.
+    A pick downdates the Grams by ``w w^T``, ``w = q^T A_i`` for the winner's
+    orthonormalized rows q: one read of the candidate.  Only the winner (for
+    q and its gain) and the locations the ``_RECOMPUTE_RATIO`` tests flag are
+    re-formed from their rows.
     """
     stack = np.ascontiguousarray(stack)
     batch, s, r, dof = stack.shape
     gram = {(j, k): np.einsum("brl,brl->bl", stack[:, j], stack[:, k])
             for j in range(s) for k in range(j, s)}
     max_norm = np.sqrt(np.max([gram[j, j].max(axis=1) for j in range(s)], axis=0))[:, None]
+    shift = -np.frexp(max_norm)[1]
+    np.ldexp(max_norm, shift, out=max_norm)
+    for g in gram.values():
+        np.ldexp(g, 2 * shift, out=g)
     cut = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
     piv = np.empty((s, batch, dof))
     cancelled = _ldl_pivots(gram, cut, piv)
@@ -197,12 +207,13 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     alive = np.ones((batch, dof), dtype=bool)
     picks = np.empty((batch, sensors), dtype=np.intp)
     gains = np.empty((batch, sensors))
-    margins = np.full((batch, sensors), np.inf)
+    margins = np.empty((batch, sensors))
     for step in range(sensors):
         stale = alive & (cancelled | ~(piv >= limit).all(axis=0))
         if stale.any():
             members, locs = np.nonzero(stale)
             rfac = np.linalg.qr(_residual(stack, q, members, locs), mode="r")
+            np.ldexp(rfac, shift[members, :, None], out=rfac)
             for (j, k), g in gram.items():
                 g[members, locs] = np.einsum("mi,mi->m", rfac[:, :, j], rfac[:, :, k])
             piv[:, members, locs] = fresh = np.diagonal(rfac, axis1=1, axis2=2).T ** 2
@@ -215,12 +226,11 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
         basis, rfac = np.linalg.qr(_residual(stack, q, every, pick))
         picks[:, step] = pick
         gains[:, step] = np.prod(np.diagonal(rfac, axis1=1, axis2=2) ** 2, axis=1)
-        np.divide(piv[:, every, pick].min(axis=0), cut[:, 0], out=margins[:, step],
-                  where=cut[:, 0] > 0.0)
+        margins[:, step] = piv[:, every, pick].min(axis=0) / cut[:, 0]
         alive[every, pick] = False
         if step + 1 < sensors:
             q = np.concatenate((q, basis), axis=2)
-            w = basis.swapaxes(1, 2)[:, None] @ stack
+            w = np.ldexp(basis, shift[:, :, None], out=basis).swapaxes(1, 2)[:, None] @ stack
             for (j, k), g in gram.items():
                 g -= np.einsum("bml,bml->bl", w[:, j], w[:, k])
             cancelled = _ldl_pivots(gram, cut, piv)

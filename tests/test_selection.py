@@ -197,16 +197,24 @@ class TestVectorGreedy:
             shifted = score_logdet(build_model(c * candidate, scaled))
             assert shifted == pytest.approx(base_logdet + 6 * np.log(c), rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=ExhaustionError, reason=(
-        "FOUND in CHANGES.md: a location's score, the product of its squared "
-        "pivots, underflows under extreme scaling"))
-    def test_picks_survive_extreme_scaling(self):
-        # Powers of two scale exactly, so only the range of the scores can
-        # change the picks: at 2^-280 every score underflows to zero.
+    @pytest.mark.parametrize("seed, rows, s, p, exponent", [(48, 14, 2, 3, -280), (3, 60, 3, 2, -200)])
+    def test_picks_survive_extreme_scaling(self, seed, rows, s, p, exponent):
+        # Powers of two scale exactly, so only the range of the scores could
+        # change the picks: at these scales unscaled scores underflow to zero.
+        candidate = np.random.default_rng(seed).standard_normal((rows, 6))
+        base = select_vector_greedy(candidate, p, components=s)
+        scaled = select_vector_greedy(2.0**exponent * candidate, p, components=s)
+        assert scaled.locations == base.locations
+        assert scaled.step_margins == base.step_margins
+
+    def test_step_gains_saturate_under_extreme_scaling(self):
         candidate = np.random.default_rng(48).standard_normal((14, 6))
         base = select_vector_greedy(candidate, 3, components=2)
-        scaled = select_vector_greedy(2.0**-280 * candidate, 3, components=2)
+        with pytest.warns(RuntimeWarning):
+            scaled = select_vector_greedy(2.0**300 * candidate, 3, components=2)
         assert scaled.locations == base.locations
+        assert scaled.step_margins == base.step_margins
+        assert scaled.step_gains == (np.inf,) * 3
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(49)
@@ -678,6 +686,13 @@ class TestConvex:
         # Needs more than 500 steps to reach the gradient tolerance.
         candidate = np.random.default_rng(215).standard_normal((300, 9))
         assert select_convex(candidate, 3, components=3).locations == (67, 53, 57)
+
+    @pytest.mark.xfail(strict=True, raises=ConvexSolverError, reason=(
+        "FOUND in CHANGES.md: projected gradient ascent is still above its tolerance "
+        "after 2000 steps (ROADMAP item 3, convergence)"))
+    def test_slower_gaussian_instance_converges(self):
+        candidate = np.random.default_rng(12).standard_normal((300, 9))
+        select_convex(candidate, 3, components=3)
 
     def test_objective_and_gradient_match_explicit_sums(self):
         rng = np.random.default_rng(54)
