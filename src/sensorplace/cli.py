@@ -115,10 +115,12 @@ def _cmd_reconstruct(args) -> int:
     if result.rank_deficient:
         _fail(f"measurement matrix is rank-deficient (condition number {model.cond:.3e})")
         return EXIT_NUMERICAL
+    if args.true_amplitudes is not None:  # read and checked before anything is written
+        truth = fileio.read_matrix(args.true_amplitudes, header=args.header)
+        error = reconstruction_error(truth, result.amplitudes)
     fileio.write_matrix(args.out_amplitudes, result.amplitudes)
     if args.true_amplitudes is not None:
-        truth = fileio.read_matrix(args.true_amplitudes, header=args.header)
-        print(f"{reconstruction_error(truth, result.amplitudes):.17g}")
+        print(f"{error:.17g}")
     return EXIT_OK
 
 
@@ -135,6 +137,8 @@ def _parse_benchmark_config(path) -> ExperimentConfig:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key in raw:
+                raise ConfigError(f"repeated config key {key!r} on line {lineno}")
             raw[key] = value.strip()
     if "base_seed" not in raw:
         raise MissingOptionError("config must set base_seed")
@@ -165,22 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
         "state reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    header = argparse.ArgumentParser(add_help=False)
+    header.add_argument("--header", action="store_true",
+                        help="input files carry one header line to skip")
+    components = argparse.ArgumentParser(add_help=False)
+    components.add_argument("-s", "--components", type=int, default=1,
+                            help="number of stacked vector components (default 1)")
 
-    p_pod = sub.add_parser("pod", help="compute a truncated mode basis from snapshots")
+    p_pod = sub.add_parser("pod", parents=[header, components],
+                           help="compute a truncated mode basis from snapshots")
     p_pod.add_argument("snapshots", help="CSV snapshot matrix (rows: dof, cols: time)")
     p_pod.add_argument("out_modes", help="output CSV for the n x r mode matrix")
     p_pod.add_argument("out_sigma", help="output CSV for the r singular values")
-    p_pod.add_argument("-s", "--components", type=int, default=1,
-                       help="number of stacked vector components (default 1)")
     p_pod.add_argument("-r", "--rank", type=int, required=True,
                        help="number of modes to keep")
     p_pod.add_argument("--no-center", action="store_true",
                        help="skip temporal mean subtraction")
-    p_pod.add_argument("--header", action="store_true",
-                       help="input files carry one header line to skip")
     p_pod.set_defaults(func=_cmd_pod)
 
-    p_sel = sub.add_parser("select", help="select sensor locations from a mode matrix")
+    p_sel = sub.add_parser("select", parents=[header, components],
+                           help="select sensor locations from a mode matrix")
     p_sel.add_argument("modes", help="CSV mode / candidate matrix (n x r)")
     p_sel.add_argument("out", help="output selection CSV")
     p_sel.add_argument("-m", "--method", required=True,
@@ -189,15 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "rows and ignores --components)")
     p_sel.add_argument("-p", "--count", type=int, required=True,
                        help="number of sensors to place")
-    p_sel.add_argument("-s", "--components", type=int, default=1,
-                       help="number of stacked vector components (default 1)")
     p_sel.add_argument("--seed", type=int, default=None,
                        help="RNG seed (required for the random method)")
-    p_sel.add_argument("--header", action="store_true",
-                       help="input files carry one header line to skip")
     p_sel.set_defaults(func=_cmd_select)
 
-    p_rec = sub.add_parser("reconstruct",
+    p_rec = sub.add_parser("reconstruct", parents=[header],
                            help="recover mode amplitudes from sparse observations")
     p_rec.add_argument("modes", help="CSV mode matrix (n x r)")
     p_rec.add_argument("selection", help="selection CSV from 'select'")
@@ -205,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("out_amplitudes", help="output CSV for the r x N amplitudes")
     p_rec.add_argument("--true-amplitudes", default=None,
                        help="CSV of true amplitudes; prints the relative error")
-    p_rec.add_argument("--header", action="store_true",
-                       help="input files carry one header line to skip")
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_bench = sub.add_parser("benchmark",

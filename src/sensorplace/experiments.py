@@ -117,14 +117,17 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        # A bool or a value with a fractional part is no integer; 4.0 and numpy integers are.
+        for name, least in (("base_seed", 0), ("n_per_component", 1), ("components", 1),
+                            ("trials", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or int(value) != value or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if any(isinstance(r, bool) or int(r) != r for r in self.r_values):
+            raise ValueError(f"r_values must be integers; got {self.r_values!r}")
         object.__setattr__(self, "r_values", tuple(int(r) for r in self.r_values))
         s = self.components
-        if s < 1 or self.n_per_component < 1:
-            raise ValueError("components and n_per_component must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be a non-negative integer")
         _check_noise_sigma(self.noise_sigma)
         if not self.r_values:
             raise ValueError("r_values must be non-empty")
@@ -243,8 +246,9 @@ def _aggregate(
 def _select_chunk(
     methods: tuple[str, ...], stack: np.ndarray, trial_seeds
 ) -> dict[str, np.ndarray]:
-    """Locations (B, p) per study method on a component-major stack (B, s, r, dof), one seed each.
+    """Locations per study method on a component-major stack (B, s, r, dof).
 
+    Random gives one row of p picks per trial seed, every other method one row per stack member.
     s, r and dof are read from the stack and the budget is the square p = r/s.  Vector greedy
     runs on the stack as it is and every scalar-greedy component in one more call on its free
     reshape (B*s, 1, r, dof); only convex reads each candidate as (n, r).
@@ -366,28 +370,23 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         (m, r): [] for m in cfg.methods + (METHOD_FULL_OBSERVATION,) for r in cfg.r_values
     }
     s, npc = cfg.components, cfg.n_per_component
-    fixed = tuple(m for m in cfg.methods if m != METHOD_RANDOM)
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
     for r in cfg.r_values:
         basis = compute_pod(data, r)
         centered = data.data - basis.mean[:, None]
         true_amps = basis.modes.T @ centered
         stack = basis.modes.reshape(s, -1, r).transpose(0, 2, 1)[None]
-        p = r // s
-        models = {m: build_model(basis, SensorSelection(
-            tuple(locs[0].tolist()), s, npc, _study_methods(s)[m][0]
-        )) for m, locs in _select_chunk(fixed, stack, ()).items()}
-        for trial in range(cfg.trials):
-            trial_seed = cfg.base_seed + trial
+        models = {m: [build_model(basis, SensorSelection(
+            tuple(row.tolist()), s, npc, _study_methods(s)[m][0]
+        )) for row in locs] for m, locs in _select_chunk(cfg.methods, stack, seeds).items()}
+        for trial, trial_seed in enumerate(seeds):
             # Every method and the reference observe this one noisy field.
             y_full = centered
             if cfg.noise_sigma > 0:
                 noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
                 y_full = centered + cfg.noise_sigma * _noise_field(data, noise_seed)
-            if METHOD_RANDOM in cfg.methods:
-                models[METHOD_RANDOM] = build_model(basis, select_random(
-                    npc, p, _stream_seed(trial_seed, _RANDOM_STREAM, r), components=s))
             for method in cfg.methods:
-                model = models[method]
+                model = models[method][trial % len(models[method])]
                 result = reconstruct(model, y_full[list(model.selection.selected_rows)])
                 values[(method, r)].append(reconstruction_error(true_amps, result.amplitudes))
             # Reference: observe every row; the least-squares fit onto the

@@ -296,8 +296,6 @@ def select_random(
     n_locations: int, sensors: int, seed: int, components: int = 1
 ) -> SensorSelection:
     """Uniform draw of ``sensors`` distinct locations, deterministic per seed."""
-    if n_locations < 1:
-        raise ValueError("n_locations must be >= 1")
     if not 1 <= sensors <= n_locations:
         raise ValueError(f"cannot draw {sensors} of {n_locations} locations")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ from sensorplace import cli, fileio
 from sensorplace.evaluate import build_model, observe, reconstruct
 from sensorplace.experiments import generate_synthetic_flow
 from sensorplace.pod import SnapshotMatrix, compute_pod
-from sensorplace.selection import select_vector_greedy
+from sensorplace.selection import ConvexSolverError, select_convex, select_vector_greedy
 
 
 def run(args):
@@ -122,6 +122,37 @@ class TestSelectCommand:
                  "-m", "qr-pivot", "-p", "1"])
         assert info.value.code == 2
 
+    def test_convex_writes_the_library_selection(self, tmp_path):
+        candidate = np.random.default_rng(5).standard_normal((16, 4))
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, candidate)
+        out = tmp_path / "sel.csv"
+        assert run(["select", str(modes), str(out), "-m", "convex", "-p", "2", "-s", "2"]) == 0
+        expected = select_convex(candidate, 2, components=2)
+        assert fileio.read_selection(out) == [
+            (loc, list(expected.selected_rows[2 * k : 2 * k + 2]))
+            for k, loc in enumerate(expected.locations)
+        ]
+
+    def test_solver_non_convergence_exits_5(self, tmp_path, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise ConvexSolverError("projected gradient did not converge", 1e-3)
+
+        monkeypatch.setattr(cli, "select_convex", stalled)
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.eye(4))
+        out = tmp_path / "sel.csv"
+        assert run(["select", str(modes), str(out), "-m", "convex", "-p", "2"]) == 5
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.eye(4))
+        out = tmp_path / "absent" / "sel.csv"
+        assert run(["select", str(modes), str(out), "-m", "vector-greedy", "-p", "2"]) == 1
+        assert "absent" in capsys.readouterr().err
+
     def test_inputs_not_mutated(self, tmp_path):
         modes = tmp_path / "modes.csv"
         fileio.write_matrix(modes, np.eye(4))
@@ -216,6 +247,38 @@ class TestReconstructCommand:
         fileio.write_matrix(obs, np.ones((2, 1)))
         out = tmp_path / "amps.csv"
         assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("truth_text, code", [
+        (None, 1),  # missing file
+        ("1,2\n3,x\n", 2),
+        ("\n".join(["1,2,3,4,5"] * 3) + "\n", 3),  # 3 x 5 truth for 4 x 5 amplitudes
+    ], ids=["missing", "malformed", "wrong-shape"])
+    def test_failed_truth_writes_no_amplitudes(self, tmp_path, truth_text, code):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.eye(4))
+        sel = tmp_path / "sel.csv"
+        sel.write_text("rank,location,row_indices\n1,0,0\n2,1,1\n3,2,2\n4,3,3\n")
+        obs = tmp_path / "obs.csv"
+        fileio.write_matrix(obs, np.ones((4, 5)))
+        truth = tmp_path / "truth.csv"
+        if truth_text is not None:
+            truth.write_text(truth_text)
+        out = tmp_path / "a.csv"
+        assert run(["reconstruct", str(modes), str(sel), str(obs), str(out),
+                    "--true-amplitudes", str(truth)]) == code
+        assert not out.exists()
+
+    def test_mode_rows_not_divisible_by_components_exits_3(self, tmp_path, capsys):
+        modes = tmp_path / "modes.csv"
+        fileio.write_matrix(modes, np.random.default_rng(4).standard_normal((5, 2)))
+        sel = tmp_path / "sel.csv"
+        sel.write_text("rank,location,row_indices\n1,0,0;2\n")
+        obs = tmp_path / "obs.csv"
+        fileio.write_matrix(obs, np.ones((2, 1)))
+        out = tmp_path / "amps.csv"
+        assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 3
+        assert "5 mode rows not divisible by 2 components" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shape_mismatch_exits_3(self, tmp_path):
@@ -352,6 +415,11 @@ class TestBenchmarkCommand:
         cfg = self.config(tmp_path, "r_values = 4\n")
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 4
 
+    def test_missing_r_values_exits_2(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "base_seed = 1\n")
+        assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 2
+        assert "config must set r_values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, message", [
         ("n_per_component = 1.5", "bad config value"),
         ("components = two", "bad config value"),
@@ -362,6 +430,8 @@ class TestBenchmarkCommand:
         ("noise_sigma = nan", "noise_sigma must be finite"),
         # Any comma list parses as method names; the config rejects unknown ones.
         ("methods = vector-greedy,bogus", "unknown method 'bogus'"),
+        ("r_values 4", "expected 'key = value' on line 2"),
+        ("r_values = 2\nr_values = 4", "repeated config key 'r_values' on line 3"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, line, message):
         key = line.split()[0]

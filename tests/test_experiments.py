@@ -71,6 +71,30 @@ class TestExperimentConfig:
             ExperimentConfig(r_values=(8,), base_seed=1, components=2,
                              n_per_component=3, trials=1)
 
+    @pytest.mark.parametrize("override", [
+        dict(r_values=(2.7,)),
+        dict(r_values=("4",)),
+        dict(r_values=(True, 4)),
+        dict(n_per_component=10.5),
+        dict(base_seed=1.5),
+        dict(components=2.0000001),
+        dict(trials=True),
+    ], ids=["r-fraction", "r-string", "r-bool", "n-fraction", "seed-fraction",
+            "s-fraction", "trials-bool"])
+    def test_non_integers_rejected(self, override):
+        kwargs = dict(r_values=(4,), base_seed=1, components=2, n_per_component=10, trials=1)
+        kwargs.update(override)
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig(**kwargs)
+
+    def test_integral_floats_and_numpy_integers_become_ints(self, tmp_path):
+        cfg = ExperimentConfig(r_values=(np.int64(2), 4.0), base_seed=np.uint32(3),
+                               components=np.int8(2), n_per_component=10.0, trials=np.int64(2))
+        assert cfg.r_values == (2, 4)
+        whole = (cfg.base_seed, cfg.components, cfg.n_per_component, cfg.trials, *cfg.r_values)
+        assert all(type(v) is int for v in whole)
+        run_random_benchmark(cfg).write_json(tmp_path / "report.json")
+
 
 def small_benchmark_config(**overrides):
     kwargs = dict(r_values=(2, 4), base_seed=7, components=2,
@@ -99,6 +123,18 @@ class TestRandomBenchmark:
         report = run_random_benchmark(cfg)
         for cell in report.cells:
             assert cell.trials + cell.skipped == cfg.trials
+
+    def test_cell_with_every_trial_skipped_reports_nan(self, monkeypatch):
+        # All-zero candidates: every random placement is singular and skipped.
+        class Zeros:
+            def standard_normal(self, out):
+                out[...] = 0.0
+
+        monkeypatch.setattr(experiments, "_data_rng", lambda trial_seed, r: Zeros())
+        cfg = small_benchmark_config(r_values=(2,), trials=3, methods=("random",))
+        cell = run_random_benchmark(cfg).cell("random", 2)
+        assert (cell.trials, cell.skipped) == (0, 3)
+        assert math.isnan(cell.mean) and math.isnan(cell.std)
 
     def test_one_cell_per_method_and_rank(self):
         cfg = small_benchmark_config(trials=1)

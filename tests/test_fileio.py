@@ -279,3 +279,16 @@ class TestSelectionFiles:
         path.write_text("rank,location,row_indices\n1,0.5,0\n")
         with pytest.raises(SelectionParseError):
             read_selection(path)
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("", "file is empty", 1),
+        ("rank,location,row_indices\n1,0,0\n2,1\n", "expected 3 fields", 3),
+        ("rank,location,row_indices\n\n", "no selections", 2),
+        ("rank,location,row_indices\n1,0,0;5\n2,1,1\n", "differ in length", 2),
+    ], ids=["empty", "short-row", "no-rows", "ragged-widths"])
+    def test_malformed_file_names_problem_and_line(self, tmp_path, text, message, line):
+        path = tmp_path / "sel.csv"
+        path.write_text(text)
+        with pytest.raises(SelectionParseError, match=message) as info:
+            read_selection(path)
+        assert info.value.line == line
