@@ -75,7 +75,7 @@ def build_model(candidate, selection: SensorSelection) -> MeasurementModel:
     the selectors' input gate, and its row count must match the selection's
     ``components * dof_per_component``.
     """
-    modes, _ = _candidate_array(candidate, selection.sensor_count, selection.components)
+    modes, _, _ = _candidate_array(candidate, selection.sensor_count, selection.components)
     n = modes.shape[0]
     if n != selection.components * selection.dof_per_component:
         raise ValueError(

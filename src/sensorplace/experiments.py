@@ -23,6 +23,7 @@ import csv
 import json
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -97,6 +98,13 @@ def _study_methods(s: int) -> dict[str, tuple[str, int | None]]:
     return table
 
 
+def _sequence(value, name: str, items: str) -> tuple:
+    """``value`` as a tuple, unless it is a bare string, no iterable at all or empty."""
+    if isinstance(value, str) or not isinstance(value, Iterable) or not (out := tuple(value)):
+        raise ValueError(f"{name} must be a non-empty sequence of {items}; got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared configuration for both studies.
@@ -117,22 +125,16 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        # A bool or a value with a fractional part is no integer; 4.0 and numpy integers are.
         for name, least in (("base_seed", 0), ("n_per_component", 1), ("components", 1),
                             ("trials", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or int(value) != value or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if any(isinstance(r, bool) or int(r) != r for r in self.r_values):
-            raise ValueError(f"r_values must be integers; got {self.r_values!r}")
-        object.__setattr__(self, "r_values", tuple(int(r) for r in self.r_values))
+            object.__setattr__(self, name, linalg.as_count(getattr(self, name), name, least))
+        r_values = _sequence(self.r_values, "r_values", "integers")
+        object.__setattr__(self, "r_values", tuple(linalg.as_count(r, "r_values entry")
+                                                   for r in r_values))
         s = self.components
         _check_noise_sigma(self.noise_sigma)
-        if not self.r_values:
-            raise ValueError("r_values must be non-empty")
         for r in self.r_values:
-            if r < 1 or r % s != 0:
+            if r % s != 0:
                 raise ValueError(f"every r must be a positive multiple of s={s}; got {r}")
             if r // s > self.n_per_component:
                 raise ValueError(f"p = {r // s} exceeds {self.n_per_component} locations")
@@ -141,12 +143,12 @@ class ExperimentConfig:
             default = tuple(m for m, (base, _) in table.items() if base != METHOD_CONVEX)
             object.__setattr__(self, "methods", default)
         else:
-            object.__setattr__(self, "methods", tuple(self.methods))
+            object.__setattr__(self, "methods", _sequence(self.methods, "methods", "method names"))
         for name in self.methods:
             if name not in table:
                 raise ValueError(f"unknown method {name!r}")
-        if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods must be non-empty and unique")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must be unique")
 
 
 @dataclass(frozen=True)
@@ -420,10 +422,11 @@ def generate_synthetic_flow(
     ``2 * true_rank + 1``.  Optional Gaussian measurement noise is added on
     top; everything is deterministic given ``seed``.
     """
+    names = ("n_per_component", "components", "true_rank", "n_snapshots")
+    n_per_component, components, true_rank, n_snapshots = map(
+        linalg.as_count, (n_per_component, components, true_rank, n_snapshots), names)
     n = n_per_component * components
-    if n_per_component < 1 or components < 1:
-        raise ValueError("n_per_component and components must be >= 1")
-    if not 1 <= true_rank <= min(n, n_snapshots):
+    if true_rank > min(n, n_snapshots):
         raise ValueError(
             f"true_rank {true_rank} out of range for {n} dof and {n_snapshots} snapshots"
         )

@@ -22,6 +22,7 @@ __all__ = [
     "RESIDUAL_RTOL",
     "SingularMatrixError",
     "NonConvergenceError",
+    "as_count",
     "as_matrix",
     "thin_svd",
     "log_abs_det",
@@ -51,6 +52,19 @@ class NonConvergenceError(RuntimeError):
     """An iterative kernel did not reach its stopping criterion."""
 
 
+def as_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int >= ``least``.  Integral floats and numpy integers pass; bools,
+    strings, ``None``, fractional values, NaN and infinities raise ``ValueError``."""
+    try:
+        count = int(value)
+        integral = count == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or count < least:
+        raise ValueError(f"{name} must be >= {least} and an integer; got {value!r}")
+    return count
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=np.float64)
@@ -69,8 +83,8 @@ def thin_svd(m, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     non-increasing order, and ``right`` is cols x k, so that
     ``left @ diag(sigma) @ right.T`` is the best rank-k approximation of ``m``.
     """
-    m = as_matrix(m)
-    if not 1 <= k <= min(m.shape):
+    m, k = as_matrix(m), as_count(k, "rank")
+    if k > min(m.shape):
         raise ValueError(f"rank {k} out of range for shape {m.shape}")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)

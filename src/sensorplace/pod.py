@@ -22,6 +22,14 @@ __all__ = [
 ]
 
 
+def _stacked_components(n: int, components) -> int:
+    """``components`` as an int s that divides the ``n`` stacked rows into equal blocks."""
+    s = linalg.as_count(components, "components")
+    if n % s != 0:
+        raise ValueError(f"{n} rows not divisible by {s} components")
+    return s
+
+
 @dataclass(frozen=True)
 class SnapshotMatrix:
     """Stacked snapshot data: ``components * dof_per_component`` rows, N columns."""
@@ -30,14 +38,8 @@ class SnapshotMatrix:
     components: int = 1
 
     def __post_init__(self):
-        data = linalg.as_matrix(self.data, name="snapshot data")
-        object.__setattr__(self, "data", data)
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
-        if data.shape[0] % self.components != 0:
-            raise ValueError(
-                f"{data.shape[0]} rows not divisible by {self.components} components"
-            )
+        object.__setattr__(self, "data", linalg.as_matrix(self.data, name="snapshot data"))
+        object.__setattr__(self, "components", _stacked_components(len(self.data), self.components))
 
     @property
     def n_dof(self) -> int:
@@ -71,11 +73,8 @@ class PODBasis:
         sigma = np.asarray(self.singular_values, dtype=np.float64).ravel()
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "singular_values", sigma)
-        if self.components < 1:
-            raise ValueError("components must be >= 1")
         n, r = modes.shape
-        if n % self.components != 0:
-            raise ValueError(f"{n} rows not divisible by {self.components} components")
+        object.__setattr__(self, "components", _stacked_components(n, self.components))
         if sigma.size != r:
             raise ValueError(f"expected {r} singular values, got {sigma.size}")
         if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
@@ -119,16 +118,11 @@ def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PO
         The subtracted mean is stored on the returned basis.
     """
     data = snapshots.data
-    n, n_snap = data.shape
-    if not 1 <= rank <= min(n, n_snap):
-        raise ValueError(
-            f"rank {rank} out of range for {n} dof and {n_snap} snapshots"
-        )
     if center:
         mean = data.mean(axis=1)
         data = data - mean[:, None]
     else:
-        mean = np.zeros(n)
+        mean = np.zeros(len(data))
     modes, sigma, _ = linalg.thin_svd(data, rank)
     return PODBasis(
         modes=modes,

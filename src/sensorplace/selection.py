@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .pod import PODBasis
+from .pod import PODBasis, _stacked_components
 
 __all__ = [
     "METHOD_SCALAR_GREEDY",
@@ -86,16 +86,14 @@ class SensorSelection:
     relaxation_objective: float | None = None
 
     def __post_init__(self):
-        locs = tuple(int(i) for i in self.locations)
+        locs = tuple(linalg.as_count(i, "location", least=0) for i in self.locations)
         object.__setattr__(self, "locations", locs)
+        for name in ("components", "dof_per_component"):
+            object.__setattr__(self, name, linalg.as_count(getattr(self, name), name))
         if len(set(locs)) != len(locs):
             raise ValueError("selected locations must be distinct")
-        if self.components < 1 or self.dof_per_component < 1:
-            raise ValueError("components and dof_per_component must be >= 1")
-        if any(not 0 <= i < self.dof_per_component for i in locs):
-            raise ValueError(
-                f"locations must lie in [0, {self.dof_per_component})"
-            )
+        if any(i >= self.dof_per_component for i in locs):
+            raise ValueError(f"locations must lie in [0, {self.dof_per_component})")
 
     @property
     def sensor_count(self) -> int:
@@ -109,33 +107,25 @@ class SensorSelection:
         )
 
 
-def _candidate_array(candidate, sensors: int, components: int | None) -> tuple[np.ndarray, int]:
-    """The stacked matrix and s of a PODBasis or raw candidate, after the budget checks.
+def _candidate_array(candidate, sensors, components) -> tuple[np.ndarray, int, int]:
+    """The stacked matrix, s and p of a PODBasis or raw candidate, after the budget checks.
 
     Requires n divisible by s, ``p >= 1``, ``s * p <= r`` and ``p <= n/s``.
     """
     if isinstance(candidate, PODBasis):
-        if components is not None and components != candidate.components:
-            raise ValueError(
-                f"components={components} conflicts with basis components="
-                f"{candidate.components}"
-            )
         matrix, s = candidate.modes, candidate.components
+        if components is not None and linalg.as_count(components, "components") != s:
+            raise ValueError(f"components={components} conflicts with basis components={s}")
     else:
         matrix = linalg.as_matrix(candidate, name="candidate matrix")
-        s = 1 if components is None else int(components)
-        if s < 1:
-            raise ValueError("components must be >= 1")
+        s = _stacked_components(len(matrix), 1 if components is None else components)
     n, r = matrix.shape
-    if n % s != 0:
-        raise ValueError(f"{n} rows not divisible by {s} components")
-    if sensors < 1:
-        raise ValueError("sensor count must be >= 1")
-    if sensors * s > r:
-        raise ValueError(f"budget violates s*p <= r: s={s}, p={sensors}, r={r}")
-    if sensors > n // s:
-        raise ValueError(f"cannot select {sensors} of {n // s} locations")
-    return matrix, s
+    p = linalg.as_count(sensors, "sensor count")
+    if p * s > r:
+        raise ValueError(f"budget violates s*p <= r: s={s}, p={p}, r={r}")
+    if p > n // s:
+        raise ValueError(f"cannot select {p} of {n // s} locations")
+    return matrix, s, p
 
 
 # Re-form a downdated pivot once it falls to sqrt(eps) * M * sqrt(its last explicit value),
@@ -242,7 +232,7 @@ def _select_greedy(matrix: np.ndarray, sensors: int, s: int, method: str) -> Sen
     dof = matrix.shape[0] // s
     picks, gains, margins = _greedy(matrix.reshape(s, dof, -1).transpose(0, 2, 1)[None], sensors)
     return SensorSelection(
-        locations=tuple(picks[0].tolist()), components=s, dof_per_component=dof, method=method,
+        locations=picks[0].tolist(), components=s, dof_per_component=dof, method=method,
         step_gains=tuple(gains[0].tolist()), step_margins=tuple(margins[0].tolist()),
     )
 
@@ -263,7 +253,7 @@ def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
         Number of rows to select; at most r.
     """
     modes = candidate.modes if isinstance(candidate, PODBasis) else candidate
-    matrix, _ = _candidate_array(modes, sensors, 1)
+    matrix, _, sensors = _candidate_array(modes, sensors, 1)
     return _select_greedy(matrix, sensors, 1, METHOD_SCALAR_GREEDY)
 
 
@@ -288,7 +278,7 @@ def select_vector_greedy(
         Number of locations p to select; requires ``s * p <= r`` and
         ``p <= n/s``.
     """
-    matrix, s = _candidate_array(candidate, sensors, components)
+    matrix, s, sensors = _candidate_array(candidate, sensors, components)
     return _select_greedy(matrix, sensors, s, METHOD_VECTOR_GREEDY)
 
 
@@ -296,16 +286,13 @@ def select_random(
     n_locations: int, sensors: int, seed: int, components: int = 1
 ) -> SensorSelection:
     """Uniform draw of ``sensors`` distinct locations, deterministic per seed."""
-    if not 1 <= sensors <= n_locations:
+    n_locations = linalg.as_count(n_locations, "n_locations")
+    sensors = linalg.as_count(sensors, "sensor count")
+    if sensors > n_locations:
         raise ValueError(f"cannot draw {sensors} of {n_locations} locations")
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(n_locations, size=sensors, replace=False)
-    return SensorSelection(
-        locations=tuple(int(i) for i in picks),
-        components=components,
-        dof_per_component=n_locations,
-        method=METHOD_RANDOM,
-    )
+    picks = np.random.default_rng(seed).choice(n_locations, size=sensors, replace=False)
+    return SensorSelection(locations=picks.tolist(), components=components,
+                           dof_per_component=n_locations, method=METHOD_RANDOM)
 
 
 # Projected gradient ascent in select_convex: the step cap, the projected-gradient
@@ -376,7 +363,7 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
         If the projected-gradient norm is above 1e-6 after 2000 steps, or at once when
         a step's backtracking falls below 1e-14.
     """
-    matrix, s = _candidate_array(candidate, sensors, components)
+    matrix, s, sensors = _candidate_array(candidate, sensors, components)
     n, r = matrix.shape
     dof = n // s
     trace_scale = float(np.einsum("ij,ij->", matrix, matrix)) / r

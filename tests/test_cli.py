@@ -442,14 +442,25 @@ class TestBenchmarkCommand:
         assert message in capsys.readouterr().err
 
 
-def scipy_loaded_after(code):
-    """Run ``code`` in a fresh interpreter; whether ``scipy`` was imported."""
+def python(*args):
+    """Run a fresh interpreter that imports ``sensorplace`` from this checkout."""
     src = str(Path(sensorplace.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code += "\nimport sys; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def scipy_loaded_after(code):
+    """Run ``code`` in a fresh interpreter; whether ``scipy`` was imported."""
+    out = python("-c", code + "\nimport sys; print('scipy' in sys.modules)")
+    out.check_returncode()
     return {"True": True, "False": False}[out.stdout.strip()]
+
+
+def test_module_entry_point_prints_help_and_exits_0():
+    out = python("-m", "sensorplace.cli", "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: sensorplace")
 
 
 def test_loading_the_cli_does_not_import_scipy():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sensorplace import linalg
 from sensorplace.evaluate import (
+    MeasurementModel,
     build_model,
     observe,
     reconstruct,
@@ -66,6 +67,14 @@ class TestBuildModel:
     def test_cond_of_singular_is_infinite(self):
         model = build_model(np.array([[1.0, 0.0], [1.0, 0.0]]), selection_of([0, 1], 1, 2))
         assert model.cond == math.inf
+
+    def test_direct_model_rows_must_match_its_selection(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 4\) does not match 2 rows"):
+            MeasurementModel(c=np.ones((3, 4)), selection=selection_of([0, 1], 1, 5))
+
+    def test_direct_model_with_more_rows_than_rank_rejected(self):
+        with pytest.raises(ValueError, match="underdetermined recovery: 3 rows exceed rank 2"):
+            MeasurementModel(c=np.eye(3, 2), selection=selection_of([0, 1, 2], 1, 5))
 
 
 class TestScoreLogdet:
@@ -180,6 +189,18 @@ class TestObserve:
         noise = np.random.default_rng(7).standard_normal(snaps.data.shape)[rows]
         assert np.array_equal(observe(basis, wide, snaps), centered)
         assert np.array_equal(a, centered + 0.1 * noise)
+
+    def test_snapshots_of_another_size_rejected(self):
+        basis, _, _ = tiny_basis(72)
+        sel = selection_of([0], components=2, dof=4)
+        other = SnapshotMatrix(np.ones((6, 5)), components=2)
+        with pytest.raises(ValueError, match=r"snapshots \(6 dof\) do not match basis \(8 dof\)"):
+            observe(basis, sel, other)
+
+    def test_selection_for_another_grid_rejected(self):
+        basis, snaps, _ = tiny_basis(73)
+        with pytest.raises(ValueError, match="selection does not match basis dimensions"):
+            observe(basis, selection_of([0], components=2, dof=5), snaps)
 
     def test_noise_requires_seed(self):
         basis, snaps, _ = tiny_basis(71)

@@ -46,6 +46,27 @@ class TestExperimentConfig:
             ExperimentConfig(r_values=(4,), base_seed=1, components=2,
                              n_per_component=10, trials=1, methods=())
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="methods must be unique"):
+            ExperimentConfig(r_values=(4,), base_seed=1, components=2, n_per_component=10,
+                             trials=1, methods=("random", "random"))
+
+    def test_empty_r_values_rejected(self):
+        with pytest.raises(ValueError, match="r_values must be a non-empty sequence"):
+            ExperimentConfig(r_values=(), base_seed=1, components=2, n_per_component=10,
+                             trials=1)
+
+    def test_r_values_that_is_no_sequence_raises_value_error(self):
+        with pytest.raises(ValueError, match="r_values must be a non-empty sequence of integers"):
+            ExperimentConfig(r_values=4, base_seed=1, components=2, n_per_component=10,
+                             trials=1)
+
+    def test_bare_method_string_rejected(self):
+        with pytest.raises(ValueError,
+                           match="methods must be a non-empty sequence of method names"):
+            ExperimentConfig(r_values=(4,), base_seed=1, components=2, n_per_component=10,
+                             trials=1, methods="random")
+
     def test_scalar_component_index_bounded_by_components(self):
         with pytest.raises(ValueError):
             ExperimentConfig(r_values=(4,), base_seed=1, components=2,
@@ -363,6 +384,13 @@ class TestReconstructionStudy:
         cfg = ExperimentConfig(r_values=(4, 22), base_seed=1, components=2,
                                n_per_component=30, trials=1)
         with pytest.raises(ValueError, match="rank 22 out of range"):
+            run_reconstruction_study(cfg, data)
+
+    def test_data_components_must_match_config(self):
+        data = generate_synthetic_flow(30, 1, true_rank=8, n_snapshots=40, seed=16)
+        cfg = ExperimentConfig(r_values=(4,), base_seed=1, components=2,
+                               n_per_component=15, trials=1)
+        with pytest.raises(ValueError, match="data has 1 components, config expects 2"):
             run_reconstruction_study(cfg, data)
 
     def test_data_shape_must_match_config(self):

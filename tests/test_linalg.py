@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sensorplace import linalg
+from sensorplace.pod import SnapshotMatrix, compute_pod
 
 from oracles import det_cofactor
 
@@ -42,6 +43,16 @@ class TestThinSvd:
             linalg.thin_svd(np.eye(3), 0)
 
 
+    def test_lapack_failure_becomes_non_convergence(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        snapshots = SnapshotMatrix(np.random.default_rng(5).standard_normal((6, 4)))
+        with pytest.raises(linalg.NonConvergenceError, match="SVD did not converge"):
+            compute_pod(snapshots, 2)
+
+
 class TestLogAbsDet:
     def test_identity(self):
         assert linalg.log_abs_det(np.eye(5)) == pytest.approx(0.0, abs=1e-14)
@@ -76,6 +87,12 @@ class TestLogAbsDet:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             linalg.log_abs_det(np.ones((2, 3)))
+
+
+class TestLogRowVolume:
+    def test_more_rows_than_columns_rejected(self):
+        with pytest.raises(ValueError, match="rows span no volume in 2 dimensions"):
+            linalg.log_row_volume(np.ones((3, 2)))
 
 
 class TestValidation:

@@ -125,3 +125,11 @@ class TestPODBasisInvariants:
     def test_increasing_singular_values_rejected(self):
         with pytest.raises(ValueError):
             PODBasis(modes=np.eye(4, 2), singular_values=[1.0, 2.0])
+
+    def test_singular_value_count_must_match_rank(self):
+        with pytest.raises(ValueError, match="expected 2 singular values, got 3"):
+            PODBasis(modes=np.eye(4, 2), singular_values=[3.0, 2.0, 1.0])
+
+    def test_mean_length_must_match_rows(self):
+        with pytest.raises(ValueError, match="mean has length 3, expected 4"):
+            PODBasis(modes=np.eye(4, 2), singular_values=[2.0, 1.0], mean=np.zeros(3))

@@ -66,6 +66,13 @@ class TestInputGate:
         with pytest.raises(ValueError, match="cannot select 4 of 3 locations"):
             select(wide, 4)
 
+    @pytest.mark.parametrize("select", [select_vector_greedy, select_convex])
+    def test_components_conflicting_with_a_basis_rejected(self, select):
+        modes, _ = np.linalg.qr(np.random.default_rng(49).standard_normal((20, 4)))
+        basis = PODBasis(modes=modes, singular_values=np.ones(4), components=2)
+        with pytest.raises(ValueError, match="components=1 conflicts with basis components=2"):
+            select(basis, 2, components=1)
+
     def test_scalar_greedy_treats_every_basis_row_as_a_location(self):
         modes, _ = np.linalg.qr(np.random.default_rng(48).standard_normal((20, 5)))
         basis = PODBasis(modes=modes, singular_values=np.ones(5), components=2)
