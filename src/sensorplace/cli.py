@@ -13,7 +13,7 @@ import sys
 from . import fileio, linalg
 from .evaluate import build_model, reconstruct, reconstruction_error
 from .experiments import ExperimentConfig, run_random_benchmark
-from .pod import SnapshotMatrix, compute_pod
+from .pod import SnapshotMatrix, _stacked_components, compute_pod
 from .selection import (
     METHOD_RANDOM,
     METHOD_SCALAR_GREEDY,
@@ -88,9 +88,7 @@ def _cmd_select(args) -> int:
 
 
 def _selection_from_entries(entries, n_rows: int) -> SensorSelection:
-    s = len(entries[0][1])
-    if n_rows % s != 0:
-        raise ValueError(f"{n_rows} mode rows not divisible by {s} components")
+    s = _stacked_components(n_rows, len(entries[0][1]))
     selection = SensorSelection(
         locations=tuple(loc for loc, _ in entries), components=s,
         dof_per_component=n_rows // s, method="file",

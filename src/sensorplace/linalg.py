@@ -2,16 +2,17 @@
 
 Everything operates on ``numpy.float64`` arrays; ``log_row_volume`` also
 takes a stack of matrices.  One zero rule decides singularity everywhere: a
-residual norm at or below ``RESIDUAL_RTOL * r * eps`` times the largest row
-norm counts as zero.  It is scale-relative, so orthonormal mode matrices and
-raw Gaussian candidate matrices behave identically under scaling, as long as
-the greedy's Grams stay in range: on Gaussian 20s x 6 candidates the picks
-held for scales from 2^-530 to 2^510 at s = 1 and 2 and to 2^500 at s = 3
-(its ``step_gains``, absolute squared volumes, saturate sooner: at s = 2 they
-are 0.0 at 2^-280 and inf at 2^300).  The greedy
+residual norm at or below ``_zero_cutoff``, ``RESIDUAL_RTOL * r * eps`` times
+the largest row norm, counts as zero.  It is scale-relative, so orthonormal
+mode matrices and raw Gaussian candidate matrices behave identically under
+scaling, as long as the greedy's Grams stay in range: on Gaussian 20s x 6
+candidates the picks held for scales from 2^-530 to 2^510 at s = 1 and 2 and
+to 2^500 at s = 3 (its ``step_gains``, absolute squared volumes, saturate
+sooner: at s = 2 they are 0.0 at 2^-280 and inf at 2^300).  The greedy
 selectors apply it to residual pivots, and ``_zero_pivots`` to the diagonal of
 R in the QR factorization of ``C^T``, for ``log_row_volume``,
 ``log_abs_det`` and the factor each ``evaluate.MeasurementModel`` holds.
+Those two and ``evaluate.score_logdet`` report a singular matrix as ``-inf``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "RESIDUAL_RTOL",
-    "SingularMatrixError",
     "NonConvergenceError",
     "as_count",
     "as_matrix",
@@ -35,17 +35,6 @@ __all__ = [
 # factor 10 separates those from genuine directions, while full-rank
 # candidates with column scales down to 1e-12 keep every direction.
 RESIDUAL_RTOL = 10.0
-
-
-class SingularMatrixError(ArithmeticError):
-    """A factorization hit a negligible pivot.
-
-    ``pivot_index`` is the 0-based index of the first pivot that counts as zero.
-    """
-
-    def __init__(self, message: str, pivot_index: int):
-        super().__init__(message)
-        self.pivot_index = pivot_index
 
 
 class NonConvergenceError(RuntimeError):
@@ -95,41 +84,22 @@ def thin_svd(m, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def log_abs_det(m) -> float:
-    """``ln |det(m)|`` of a square matrix: ``log_row_volume`` of its rows.
-
-    Raises
-    ------
-    SingularMatrixError
-        If some ``|R_kk|`` of the QR factorization ``m^T = Q R`` is zero under
-        the row-norm rule; the first such k is reported as ``pivot_index``.
-    """
+    """``ln |det(m)|`` of a square matrix: ``log_row_volume`` of its rows, ``-inf`` if singular."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    diag, zero = _r_diagonal(m)
-    if zero.any():
-        index = int(np.argmax(zero))
-        raise SingularMatrixError(
-            f"matrix is singular within the row-norm threshold at pivot {index}",
-            pivot_index=index,
-        )
-    return float(np.log(diag).sum())
+    return float(log_row_volume(m))
 
 
-def _r_diagonal(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``|R_kk|`` of ``C^T = Q R`` per matrix of a stack, and which count as zero."""
-    m, r = c.shape[-2:]
-    if m > r:
-        raise ValueError(f"rows span no volume in {r} dimensions: got shape {c.shape}")
-    diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"), axis1=-2, axis2=-1))
-    return diag, _zero_pivots(c, diag)
+def _zero_cutoff(r: int, max_norm):
+    """The zero rule's cutoff on a residual norm in r dimensions, given the largest row norm."""
+    return RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
 
 
 def _zero_pivots(c: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """The zero rule: which ``|R_kk|`` of ``C^T = Q R`` count as zero, per matrix."""
     max_norm = np.sqrt(np.einsum("...ij,...ij->...i", c, c).max(axis=-1))
-    cutoff = RESIDUAL_RTOL * c.shape[-1] * np.finfo(np.float64).eps * max_norm
-    return diag <= cutoff[..., None]
+    return diag <= _zero_cutoff(c.shape[-1], max_norm)[..., None]
 
 
 def _log_volume(diag: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -148,4 +118,9 @@ def log_row_volume(c) -> np.ndarray:
     ``|R_kk|`` at or below ``RESIDUAL_RTOL * r * eps`` times its largest row
     norm (the greedy selectors' zero rule) gets ``-inf``.
     """
-    return _log_volume(*_r_diagonal(np.asarray(c, dtype=np.float64)))
+    c = np.asarray(c, dtype=np.float64)
+    m, r = c.shape[-2:]
+    if m > r:
+        raise ValueError(f"rows span no volume in {r} dimensions: got shape {c.shape}")
+    diag = np.abs(np.diagonal(np.linalg.qr(np.swapaxes(c, -1, -2), mode="r"), axis1=-2, axis2=-1))
+    return _log_volume(diag, _zero_pivots(c, diag))

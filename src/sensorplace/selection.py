@@ -188,7 +188,7 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     np.ldexp(max_norm, shift, out=max_norm)
     for g in gram.values():
         np.ldexp(g, 2 * shift, out=g)
-    cut = (linalg.RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm) ** 2
+    cut = linalg._zero_cutoff(r, max_norm) ** 2
     piv = np.empty((s, batch, dof))
     cancelled = _ldl_pivots(gram, cut, piv)
     limit = _RECOMPUTE_RATIO * max_norm * np.sqrt(np.maximum(piv, 0.0))

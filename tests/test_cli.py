@@ -278,7 +278,7 @@ class TestReconstructCommand:
         fileio.write_matrix(obs, np.ones((2, 1)))
         out = tmp_path / "amps.csv"
         assert run(["reconstruct", str(modes), str(sel), str(obs), str(out)]) == 3
-        assert "5 mode rows not divisible by 2 components" in capsys.readouterr().err
+        assert "5 rows not divisible by 2 components" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shape_mismatch_exits_3(self, tmp_path):

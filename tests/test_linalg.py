@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sensorplace import linalg
+from sensorplace.evaluate import build_model, score_logdet
 from sensorplace.pod import SnapshotMatrix, compute_pod
+from sensorplace.selection import SensorSelection
 
 from oracles import det_cofactor
 
@@ -53,40 +55,47 @@ class TestThinSvd:
             compute_pod(snapshots, 2)
 
 
+# ln |det| of a square matrix, by both public entry points.
+LOG_DETS = (linalg.log_abs_det, lambda m: float(linalg.log_row_volume(m)))
+
+
+@pytest.mark.parametrize("log_det", LOG_DETS, ids=["log_abs_det", "log_row_volume"])
 class TestLogAbsDet:
-    def test_identity(self):
-        assert linalg.log_abs_det(np.eye(5)) == pytest.approx(0.0, abs=1e-14)
+    def test_identity(self, log_det):
+        assert log_det(np.eye(5)) == pytest.approx(0.0, abs=1e-14)
 
-    def test_diagonal(self):
-        assert linalg.log_abs_det(np.diag([2.0, 3.0])) == pytest.approx(
-            math.log(6.0), rel=1e-12
-        )
+    def test_diagonal(self, log_det):
+        assert log_det(np.diag([2.0, 3.0])) == pytest.approx(math.log(6.0), rel=1e-12)
 
-    def test_matches_cofactor_expansion(self):
+    def test_matches_cofactor_expansion(self, log_det):
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = rng.standard_normal((6, 6))
             expected = math.log(abs(det_cofactor(m)))
-            assert linalg.log_abs_det(m) == pytest.approx(expected, rel=1e-9)
+            assert log_det(m) == pytest.approx(expected, rel=1e-9)
 
-    def test_multiplicative(self):
+    def test_multiplicative(self, log_det):
         rng = np.random.default_rng(6)
         for _ in range(10):
             a = rng.standard_normal((5, 5))
             b = rng.standard_normal((5, 5))
-            lhs = linalg.log_abs_det(a @ b)
-            rhs = linalg.log_abs_det(a) + linalg.log_abs_det(b)
+            lhs = log_det(a @ b)
+            rhs = log_det(a) + log_det(b)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_singular_reports_pivot(self):
-        m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(linalg.SingularMatrixError) as info:
-            linalg.log_abs_det(m)
-        assert info.value.pivot_index == 1
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.log_abs_det(np.ones((2, 3)))
+@pytest.mark.parametrize("m", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [1.0, 2e-15]]])
+def test_singular_is_minus_inf_as_score_logdet_reports_it(m):
+    # Exactly dependent rows, and a second pivot below the zero rule's cutoff.
+    model = build_model(np.array(m), SensorSelection((0, 1), 1, 2, "file"))
+    assert score_logdet(model) == -np.inf
+    assert linalg.log_abs_det(m) == -np.inf
+    assert linalg.log_row_volume(m) == -np.inf
+
+
+def test_log_abs_det_rejects_non_square():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        linalg.log_abs_det(np.ones((2, 3)))
 
 
 class TestLogRowVolume:
