@@ -32,7 +32,7 @@ from . import linalg
 from .evaluate import (
     _check_noise_sigma, _noise_field, build_model, reconstruct, reconstruction_error
 )
-from .pod import PODBasis, SnapshotMatrix, compute_pod
+from .pod import SnapshotMatrix, compute_pod
 from .selection import (
     METHOD_CONVEX,
     METHOD_RANDOM,
@@ -349,15 +349,14 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
 def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> ExperimentReport:
     """Reconstruction error of each method on snapshot data, per rank.
 
-    One POD at the largest r gives every rank's basis; each fixed method
-    selects p = r/s locations and builds its measurement model once, the
-    random method once per trial.  Each trial draws one noisy full-grid field,
-    the same one ``observe`` would give under the trial's noise seed; every
-    method gathers its rows from it and recovers amplitudes with
-    ``reconstruct``.  The value is the relative amplitude error against the
-    full-state projection.  The ``full-observation`` row projects the same
-    field onto the orthonormal modes, which is its least-squares fit over
-    every grid row.
+    For every r a POD basis is computed; each fixed method selects p = r/s
+    locations and builds its measurement model once, the random method once
+    per trial.  Each trial draws one noisy full-grid field, the same one
+    ``observe`` would give under the trial's noise seed; every method gathers
+    its rows from it and recovers amplitudes with ``reconstruct``.  The value
+    is the relative amplitude error against the full-state projection.  The
+    ``full-observation`` row projects the same field onto the orthonormal
+    modes, which is its least-squares fit over every grid row.
     """
     if data.components != cfg.components:
         raise ValueError(
@@ -374,12 +373,9 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
     }
     s, npc = cfg.components, cfg.n_per_component
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
-    # thin_svd slices one full SVD whatever the rank, so each rank's basis is
-    # the leading columns of the largest.
-    full = compute_pod(data, max(cfg.r_values))
-    centered = data.data - full.mean[:, None]
     for r in cfg.r_values:
-        basis = PODBasis(full.modes[:, :r].copy(), full.singular_values[:r].copy(), s, full.mean)
+        basis = compute_pod(data, r)
+        centered = data.data - basis.mean[:, None]
         true_amps = basis.modes.T @ centered
         stack = basis.modes.reshape(s, -1, r).transpose(0, 2, 1)[None]
         models = {m: [build_model(basis, SensorSelection(
