@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .pod import PODBasis, SnapshotMatrix
-from .selection import SensorSelection, _candidate_array
+from .pod import PODBasis, SnapshotMatrix, _check_snapshots
+from .selection import SensorSelection
 
 __all__ = [
     "MeasurementModel",
@@ -71,17 +71,16 @@ class MeasurementModel:
 def build_model(candidate, selection: SensorSelection) -> MeasurementModel:
     """Gather the selected rows of the candidate into a measurement matrix.
 
-    ``candidate`` may be a PODBasis or a raw stacked n x r array; it passes
-    the selectors' input gate, and its row count must match the selection's
-    ``components * dof_per_component``.
+    ``candidate`` is a PODBasis, whose modes are gathered, or a raw stacked n x r
+    array; either must have ``selection.components * selection.dof_per_component`` rows.
     """
-    modes, _, _ = _candidate_array(candidate, selection.sensor_count, selection.components)
-    n = modes.shape[0]
-    if n != selection.components * selection.dof_per_component:
-        raise ValueError(
-            f"candidate has {n} rows, selection implies "
-            f"{selection.components * selection.dof_per_component}"
-        )
+    if isinstance(candidate, PODBasis):
+        modes = candidate.modes
+    else:
+        modes = linalg.as_matrix(candidate, name="candidate matrix")
+    implied = selection.components * selection.dof_per_component
+    if len(modes) != implied:
+        raise ValueError(f"candidate has {len(modes)} rows, selection implies {implied}")
     return MeasurementModel(c=modes[list(selection.selected_rows)], selection=selection)
 
 
@@ -114,11 +113,7 @@ def observe(
     observing the same location under the same seed see the same noise.  A
     NaN, infinite or negative ``noise_sigma`` raises ``ValueError``.
     """
-    if field_snapshots.n_dof != basis.n_dof or field_snapshots.components != basis.components:
-        raise ValueError(
-            f"snapshots ({field_snapshots.n_dof} dof) do not match basis "
-            f"({basis.n_dof} dof)"
-        )
+    _check_snapshots(basis, field_snapshots)
     if basis.n_dof != selection.components * selection.dof_per_component:
         raise ValueError("selection does not match basis dimensions")
     _check_noise_sigma(noise_sigma)

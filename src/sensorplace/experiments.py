@@ -147,8 +147,9 @@ class ExperimentConfig:
         for name in self.methods:
             if name not in table:
                 raise ValueError(f"unknown method {name!r}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods must be unique")
+        for name in ("r_values", "methods"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} must be unique")
 
 
 @dataclass(frozen=True)

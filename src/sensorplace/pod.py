@@ -118,11 +118,10 @@ def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PO
         The subtracted mean is stored on the returned basis.
     """
     data = snapshots.data
+    mean = None
     if center:
         mean = data.mean(axis=1)
         data = data - mean[:, None]
-    else:
-        mean = np.zeros(len(data))
     modes, sigma, _ = linalg.thin_svd(data, rank)
     return PODBasis(
         modes=modes,
@@ -132,15 +131,20 @@ def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PO
     )
 
 
+def _check_snapshots(basis: PODBasis, snapshots: SnapshotMatrix) -> None:
+    """Reject snapshots on another grid or with another component count than ``basis``."""
+    if snapshots.n_dof != basis.n_dof or snapshots.components != basis.components:
+        raise ValueError(
+            f"snapshots ({snapshots.n_dof} dof, {snapshots.components} components) do not "
+            f"match basis ({basis.n_dof} dof, {basis.components} components)"
+        )
+
+
 def mode_amplitudes(basis: PODBasis, snapshots: SnapshotMatrix) -> np.ndarray:
     """Project (mean-subtracted) snapshots onto the basis.
 
     Returns the r x N amplitude matrix whose column ``t`` holds the true mode
     amplitudes of snapshot ``t``.
     """
-    if snapshots.n_dof != basis.n_dof or snapshots.components != basis.components:
-        raise ValueError(
-            f"snapshots ({snapshots.n_dof} dof, {snapshots.components} components) do not "
-            f"match basis ({basis.n_dof} dof, {basis.components} components)"
-        )
+    _check_snapshots(basis, snapshots)
     return basis.modes.T @ (snapshots.data - basis.mean[:, None])

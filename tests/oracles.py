@@ -2,19 +2,39 @@
 
 Everything here deliberately avoids the library's own code paths: determinants
 by cofactor expansion, greedy step optimality by exhaustive enumeration over
-remaining candidates, in floating point or exactly in integer arithmetic
-(fraction-free Bareiss elimination of Gram matrices), whole greedy runs by
-re-projecting every location from scratch at every step, the capped-simplex
-projection by 100 bisection passes, CSV files by plain line-by-line parsing,
-and the random-candidate study by its plain per-trial loop over the public
-selectors.
+remaining candidates in floating point, whole greedy runs by re-projecting
+every location from scratch at every step, the capped-simplex projection by
+100 bisection passes, CSV files by plain line-by-line parsing, and the
+random-candidate study by its plain per-trial loop over the public selectors.
+Exact greedy step optimality (fraction-free Bareiss elimination of integer
+Gram matrices) is the benchmark's oracle, ``exact_step_violations`` of
+``bench/oracles.py``, which imports nothing from the library.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
+
+
+def load_bench_module(name: str):
+    """``bench/<name>.py`` loaded by path and registered as module ``bench_<name>``.
+
+    ``bench/`` and ``tests/`` each hold an ``oracles`` module, so a plain import
+    would pick whichever comes first on ``sys.path``.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+exact_step_violations = load_bench_module("oracles").exact_step_violations
 
 
 def det_cofactor(a: np.ndarray) -> float:
@@ -71,65 +91,6 @@ def exhaustive_step_argmax(
         if val > best_val:
             best_loc, best_val = loc, val
     return best_loc, best_val
-
-
-def integer_rows(m: np.ndarray) -> list[list[int]]:
-    """The float matrix times one power of two, as exact Python integers."""
-    fractions = [[Fraction(float(x)) for x in row] for row in m]
-    scale = max(f.denominator for row in fractions for f in row)
-    return [[int(f * scale) for f in row] for row in fractions]
-
-
-def bareiss_det(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def exact_step_violations(
-    candidate: np.ndarray, locations, components: int, rtol: Fraction = Fraction(1, 10**9)
-) -> list[str]:
-    """Greedy picks that miss the exact one-step maximum by more than ``rtol``.
-
-    At step k every remaining location is scored by the exact determinant of
-    the integer Gram matrix of the rows picked before plus that location's
-    rows.  One integer scaling serves every score, so they compare exactly.
-    """
-    dof = candidate.shape[0] // components
-    ints = integer_rows(candidate)
-    problems = []
-    for k, loc in enumerate(locations):
-        base = []
-        for earlier in locations[:k]:
-            base += location_rows(earlier, dof, components)
-        dets = {}
-        for i in range(dof):
-            if i in locations[:k]:
-                continue
-            rows = [ints[j] for j in base + location_rows(i, dof, components)]
-            gram = [[sum(a * b for a, b in zip(x, y)) for y in rows] for x in rows]
-            dets[i] = bareiss_det(gram)
-        best = max(dets.values())
-        if best <= 0:
-            problems.append(f"step {k + 1}: every remaining location is exactly degenerate")
-        elif Fraction(dets[int(loc)], best) < 1 - rtol:
-            problems.append(
-                f"step {k + 1}: picked {loc}, exact maximum at {max(dets, key=dets.get)}"
-            )
-    return problems
 
 
 def explicit_greedy(candidate: np.ndarray, sensors: int, components: int, rtol: float):

@@ -432,6 +432,7 @@ class TestBenchmarkCommand:
         ("methods = vector-greedy,bogus", "unknown method 'bogus'"),
         ("r_values 4", "expected 'key = value' on line 2"),
         ("r_values = 2\nr_values = 4", "repeated config key 'r_values' on line 3"),
+        ("r_values = 4,4", "r_values must be unique"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, line, message):
         key = line.split()[0]

@@ -15,7 +15,7 @@ from sensorplace.evaluate import (
     score_logdet,
 )
 from sensorplace.pod import PODBasis, SnapshotMatrix, compute_pod, mode_amplitudes
-from sensorplace.selection import SensorSelection, select_vector_greedy
+from sensorplace.selection import SensorSelection, select_scalar_greedy, select_vector_greedy
 
 from oracles import det_cofactor
 
@@ -48,13 +48,24 @@ class TestBuildModel:
 
     def test_dimension_mismatch(self):
         sel = selection_of([0], components=2, dof=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="candidate has 4 rows, selection implies 6"):
             build_model(np.eye(4), sel)
+
+    def test_rows_that_components_do_not_divide_are_a_mismatch(self):
+        sel = selection_of([0], components=2, dof=3)
+        with pytest.raises(ValueError, match="candidate has 5 rows, selection implies 6"):
+            build_model(np.eye(5), sel)
 
     def test_overdetermined_budget_rejected(self):
         sel = selection_of([0, 1, 2], components=1, dof=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="underdetermined recovery: 3 rows exceed rank 2"):
             build_model(np.eye(4, 2), sel)
+
+    def test_non_finite_raw_candidate_rejected(self):
+        candidate = np.eye(4)
+        candidate[3, 1] = np.nan
+        with pytest.raises(ValueError, match="candidate matrix contains non-finite entries"):
+            build_model(candidate, selection_of([0], components=2, dof=2))
 
     @pytest.mark.parametrize("m, r", [(1, 1), (4, 4), (9, 9), (1, 5), (3, 7), (6, 8)])
     def test_cond_matches_numpy_on_full_rank(self, m, r):
@@ -194,7 +205,8 @@ class TestObserve:
         basis, _, _ = tiny_basis(72)
         sel = selection_of([0], components=2, dof=4)
         other = SnapshotMatrix(np.ones((6, 5)), components=2)
-        with pytest.raises(ValueError, match=r"snapshots \(6 dof\) do not match basis \(8 dof\)"):
+        with pytest.raises(ValueError, match=r"snapshots \(6 dof, 2 components\) do not match "
+                                             r"basis \(8 dof, 2 components\)"):
             observe(basis, sel, other)
 
     def test_selection_for_another_grid_rejected(self):
@@ -282,6 +294,19 @@ class TestReconstruct:
             expected = np.linalg.lstsq(c, y, rcond=None)[0]
             err = np.linalg.norm(out.amplitudes - expected) / np.linalg.norm(expected)
             assert err <= 1e-13 * np.linalg.cond(c)
+
+    def test_scalar_greedy_on_a_two_component_basis(self):
+        # scalar greedy treats every stacked row of a vector basis as a location
+        basis, snaps, amps = tiny_basis(74, n=12, r=6)
+        sel = select_scalar_greedy(basis, 6)
+        assert (sel.components, sel.dof_per_component) == (1, 12)
+        model = build_model(basis, sel)
+        np.testing.assert_array_equal(model.c, build_model(basis.modes, sel).c)
+        y = observe(basis, sel, snaps)
+        amplitudes = reconstruct(model, y).amplitudes
+        np.testing.assert_allclose(amplitudes, np.linalg.solve(model.c, y), rtol=1e-10,
+                                   atol=1e-12)
+        np.testing.assert_allclose(amplitudes, amps, atol=1e-10)
 
     def test_row_count_mismatch(self):
         sel = selection_of(range(3), components=1, dof=3)

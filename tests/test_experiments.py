@@ -51,6 +51,13 @@ class TestExperimentConfig:
             ExperimentConfig(r_values=(4,), base_seed=1, components=2, n_per_component=10,
                              trials=1, methods=("random", "random"))
 
+    @pytest.mark.parametrize("r_values", [(4, 4), (4, 2, 4.0)])
+    def test_repeated_rank_rejected(self, r_values):
+        # a repeated rank would replay the same seeded draws into one cell
+        with pytest.raises(ValueError, match="r_values must be unique"):
+            ExperimentConfig(r_values=r_values, base_seed=1, components=2, n_per_component=50,
+                             trials=5)
+
     def test_empty_r_values_rejected(self):
         with pytest.raises(ValueError, match="r_values must be a non-empty sequence"):
             ExperimentConfig(r_values=(), base_seed=1, components=2, n_per_component=10,

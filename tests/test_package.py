@@ -1,9 +1,9 @@
-import importlib.util
-import sys
-from pathlib import Path
+import importlib
 
 import sensorplace
 from sensorplace import evaluate, experiments, pod, selection
+
+from oracles import load_bench_module
 
 MODULES = (pod, selection, evaluate, experiments)
 
@@ -42,14 +42,10 @@ def test_reference_api_is_still_exported():
     assert set(API_REFERENCE) <= set(sensorplace.__all__)
 
 
-def test_every_benchmark_traced_name_resolves(monkeypatch):
+def test_every_benchmark_traced_name_resolves():
     # bench/tracing.py wraps these by name; a deleted or renamed one would
     # break the traced benchmark runs.  It imports only the standard library.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_module("tracing")
     assert tracing.TRACED
     for module_name, fn_name in tracing.TRACED:
         module = importlib.import_module(f"sensorplace.{module_name}")
