@@ -44,7 +44,6 @@ _CONFIG_KEYS = {
     "trials": int,
     "base_seed": int,
     "methods": lambda value: tuple(tok.strip() for tok in value.split(",")),
-    "noise_sigma": float,
 }
 
 

@@ -37,15 +37,14 @@ __all__ = [
 class MeasurementModel:
     """Reduced measurement matrix C (s*p x r) with its originating selection.
 
-    ``C^T = Q R`` is factored once, on construction.  ``_pivots`` holds the
-    ``|R_kk|`` and ``_zero`` marks those the package's zero rule calls zero.
+    ``C^T = Q R`` is factored once, on construction.  ``_zero`` marks the
+    ``|R_kk|`` that the package's zero rule calls zero.
     """
 
     c: np.ndarray
     selection: SensorSelection
     _q: np.ndarray = field(init=False, repr=False, compare=False)
     _r: np.ndarray = field(init=False, repr=False, compare=False)
-    _pivots: np.ndarray = field(init=False, repr=False, compare=False)
     _zero: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,16 +55,14 @@ class MeasurementModel:
         if rows > c.shape[1]:
             raise ValueError(f"underdetermined recovery: {rows} rows exceed rank {c.shape[1]}")
         q, r = np.linalg.qr(c.T)
-        pivots = np.abs(np.diagonal(r))
-        zero = linalg._zero_pivots(c, pivots)
-        for name, value in zip(("c", "_q", "_r", "_pivots", "_zero"), (c, q, r, pivots, zero)):
+        zero = linalg._zero_pivots(c, np.abs(np.diagonal(r)))
+        for name, value in zip(("c", "_q", "_r", "_zero"), (c, q, r, zero)):
             object.__setattr__(self, name, value)
 
     @property
     def cond(self) -> float:
-        """cond(C), from the singular values of R (at most r x r); ``inf`` if C is singular."""
-        sigma = np.linalg.svd(self._r, compute_uv=False)
-        return float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else np.inf
+        """cond(C), as ``np.linalg.cond`` of R (at most r x r); ``inf`` if C is singular."""
+        return float(np.linalg.cond(self._r))
 
 
 def build_model(candidate, selection: SensorSelection) -> MeasurementModel:
@@ -94,7 +91,7 @@ def score_logdet(model: MeasurementModel) -> float:
     dependent yields ``-inf`` instead of raising, so benchmark loops over
     random selections can count and skip those draws.
     """
-    return float(linalg._log_volume(model._pivots, model._zero))
+    return float(linalg._log_volume(np.abs(np.diagonal(model._r)), model._zero))
 
 
 def observe(
@@ -132,9 +129,7 @@ def _check_noise_sigma(noise_sigma: float) -> None:
 
 def _noise_field(field_snapshots: SnapshotMatrix, seed: int | None) -> np.ndarray:
     """The standard-normal noise of ``seed`` over the full snapshot grid."""
-    if seed is None:
-        raise ValueError("a seed is required when noise_sigma > 0")
-    return np.random.default_rng(seed).standard_normal(field_snapshots.data.shape)
+    return linalg._rng(seed).standard_normal(field_snapshots.data.shape)
 
 
 @dataclass(frozen=True)

@@ -169,11 +169,12 @@ class ReportCell:
 class ExperimentReport:
     """Per-cell statistics for one study run."""
 
+    # The field order is the key order of ``as_dict`` and so of the JSON report.
     study: str
     metric: str
-    cells: tuple[ReportCell, ...]
     base_seed: int
     configured_trials: int
+    cells: tuple[ReportCell, ...]
     wall_time_seconds: float
 
     def cell(self, method: str, r: int) -> ReportCell:
@@ -183,15 +184,9 @@ class ExperimentReport:
         raise KeyError(f"no cell for method={method!r}, r={r}")
 
     def as_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
-            "study": self.study,
-            "metric": self.metric,
-            "base_seed": self.base_seed,
-            "configured_trials": self.configured_trials,
-            "cells": [asdict(c) for c in self.cells],
-        }
-        if include_wall_time:
-            out["wall_time_seconds"] = self.wall_time_seconds
+        out = asdict(self)
+        if not include_wall_time:
+            del out["wall_time_seconds"]
         return out
 
     def write_json(self, path) -> None:
@@ -359,20 +354,16 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
     ``full-observation`` row projects the same field onto the orthonormal
     modes, which is its least-squares fit over every grid row.
     """
-    if data.components != cfg.components:
+    s, npc = cfg.components, cfg.n_per_component
+    if (data.components, data.dof_per_component) != (s, npc):
         raise ValueError(
-            f"data has {data.components} components, config expects {cfg.components}"
-        )
-    if data.dof_per_component != cfg.n_per_component:
-        raise ValueError(
-            f"data has {data.dof_per_component} dof per component, config expects "
-            f"{cfg.n_per_component}"
+            f"data has {data.components} components of {data.dof_per_component} dof, "
+            f"config expects {s} of {npc}"
         )
     start = time.perf_counter()
     values: dict[tuple[str, int], list[float]] = {
         (m, r): [] for m in cfg.methods + (METHOD_FULL_OBSERVATION,) for r in cfg.r_values
     }
-    s, npc = cfg.components, cfg.n_per_component
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
     for r in cfg.r_values:
         basis = compute_pod(data, r)
@@ -436,7 +427,7 @@ def generate_synthetic_flow(
             f"need n_snapshots >= {2 * true_rank + 1} for {true_rank} distinct frequencies"
         )
     _check_noise_sigma(noise_sigma)
-    rng = np.random.default_rng(seed)
+    rng = linalg._rng(seed)
     structures, _ = np.linalg.qr(rng.standard_normal((n, true_rank)))
     t = np.arange(n_snapshots)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=true_rank)

@@ -64,6 +64,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, but ``None``, which numpy seeds from OS entropy, raises."""
+    if seed is None:
+        raise ValueError("a seed is required: None would draw one from OS entropy")
+    return np.random.default_rng(seed)
+
+
 def thin_svd(m, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``k`` truncated SVD of ``m``.
 

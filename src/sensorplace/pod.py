@@ -77,8 +77,8 @@ class PODBasis:
         object.__setattr__(self, "components", _stacked_components(n, self.components))
         if sigma.size != r:
             raise ValueError(f"expected {r} singular values, got {sigma.size}")
-        if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
-            raise ValueError("singular values must be non-negative and non-increasing")
+        if not np.all(np.isfinite(sigma)) or np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
+            raise ValueError("singular values must be finite, non-negative and non-increasing")
         gram = modes.T @ modes
         if np.max(np.abs(gram - np.eye(r))) > 1e-10:
             raise ValueError("mode columns are not orthonormal")
@@ -88,6 +88,8 @@ class PODBasis:
             mean = np.asarray(self.mean, dtype=np.float64).ravel()
             if mean.size != n:
                 raise ValueError(f"mean has length {mean.size}, expected {n}")
+            if not np.all(np.isfinite(mean)):
+                raise ValueError("mean contains non-finite entries")
             object.__setattr__(self, "mean", mean)
 
     @property

@@ -290,7 +290,7 @@ def select_random(
     sensors = linalg.as_count(sensors, "sensor count")
     if sensors > n_locations:
         raise ValueError(f"cannot draw {sensors} of {n_locations} locations")
-    picks = np.random.default_rng(seed).choice(n_locations, size=sensors, replace=False)
+    picks = linalg._rng(seed).choice(n_locations, size=sensors, replace=False)
     return SensorSelection(locations=picks.tolist(), components=components,
                            dof_per_component=n_locations, method=METHOD_RANDOM)
 

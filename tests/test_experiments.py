@@ -301,6 +301,11 @@ class TestSyntheticFlow:
         with pytest.raises(ValueError):
             generate_synthetic_flow(30, 1, true_rank=8, n_snapshots=10, seed=0)
 
+    def test_none_seed_rejected(self):
+        # numpy would seed itself from OS entropy, so two calls could differ.
+        with pytest.raises(ValueError, match="a seed is required"):
+            generate_synthetic_flow(10, 2, true_rank=3, n_snapshots=12, seed=None)
+
     def test_noise_perturbs_but_preserves_shape(self):
         clean = generate_synthetic_flow(10, 2, true_rank=3, n_snapshots=12, seed=5)
         noisy = generate_synthetic_flow(10, 2, true_rank=3, n_snapshots=12, seed=5,
@@ -397,14 +402,16 @@ class TestReconstructionStudy:
         data = generate_synthetic_flow(30, 1, true_rank=8, n_snapshots=40, seed=16)
         cfg = ExperimentConfig(r_values=(4,), base_seed=1, components=2,
                                n_per_component=15, trials=1)
-        with pytest.raises(ValueError, match="data has 1 components, config expects 2"):
+        with pytest.raises(ValueError,
+                           match="data has 1 components of 30 dof, config expects 2 of 15"):
             run_reconstruction_study(cfg, data)
 
     def test_data_shape_must_match_config(self):
         data = generate_synthetic_flow(30, 2, true_rank=8, n_snapshots=40, seed=16)
         cfg = ExperimentConfig(r_values=(4,), base_seed=1, components=2,
                                n_per_component=20, trials=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="data has 2 components of 30 dof, config expects 2 of 20"):
             run_reconstruction_study(cfg, data)
 
 

@@ -126,6 +126,15 @@ class TestPODBasisInvariants:
         with pytest.raises(ValueError):
             PODBasis(modes=np.eye(4, 2), singular_values=[1.0, 2.0])
 
+    @pytest.mark.parametrize("sigma", [[1.0, np.nan], [np.inf, 1.0]])
+    def test_non_finite_singular_values_rejected(self, sigma):
+        with pytest.raises(ValueError, match="singular values must be finite"):
+            PODBasis(modes=np.eye(4, 2), singular_values=sigma)
+
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(ValueError, match="mean contains non-finite entries"):
+            PODBasis(modes=np.eye(4, 2), singular_values=[2.0, 1.0], mean=[0.0, np.nan, 0.0, 0.0])
+
     def test_singular_value_count_must_match_rank(self):
         with pytest.raises(ValueError, match="expected 2 singular values, got 3"):
             PODBasis(modes=np.eye(4, 2), singular_values=[3.0, 2.0, 1.0])

@@ -599,6 +599,11 @@ class TestRandom:
         with pytest.raises(ValueError):
             select_random(3, 4, seed=0)
 
+    def test_none_seed_rejected(self):
+        # numpy would seed itself from OS entropy, so two calls could differ.
+        with pytest.raises(ValueError, match="a seed is required"):
+            select_random(50, 3, seed=None)
+
 
 class TestConvex:
     def test_budget_equals_universe(self):
