@@ -47,10 +47,6 @@ _CONFIG_KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class MissingOptionError(ValueError):
     pass
 
@@ -122,33 +118,35 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _parse_benchmark_config(path) -> ExperimentConfig:
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}  # key -> (line, raw value)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             if "=" not in text:
-                raise ConfigError(f"expected 'key = value' on line {lineno}")
+                raise fileio.ParseError("expected 'key = value'", line=lineno)
             key, _, value = text.partition("=")
             key = key.strip()
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise fileio.ParseError(f"unknown config key {key!r}", line=lineno)
             if key in raw:
-                raise ConfigError(f"repeated config key {key!r} on line {lineno}")
-            raw[key] = value.strip()
+                raise fileio.ParseError(f"repeated config key {key!r}", line=lineno)
+            raw[key] = (lineno, value.strip())
     if "base_seed" not in raw:
         raise MissingOptionError("config must set base_seed")
     if "r_values" not in raw:
-        raise ConfigError("config must set r_values")
-    try:
-        kwargs = {key: _CONFIG_KEYS[key](value) for key, value in raw.items()}
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+        raise fileio.ParseError("config must set r_values")
+    kwargs = {}
+    for key, (lineno, value) in raw.items():
+        try:
+            kwargs[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise fileio.ParseError(f"bad config value: {exc}", line=lineno) from None
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise fileio.ParseError(str(exc)) from None
 
 
 def _cmd_benchmark(args) -> int:
@@ -224,7 +222,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except (fileio.MatrixParseError, fileio.SelectionParseError, ConfigError) as exc:
+    except fileio.ParseError as exc:
         _fail(str(exc))
         return EXIT_PARSE
     except MissingOptionError as exc:

@@ -10,7 +10,7 @@ trip bit-exactly.  Selection files carry a fixed header
 keeps the result only when it is non-empty and entirely finite.  Anything else
 (a loadtxt error, no rows, NaN or Inf) re-reads the file with the line-by-line
 parser ``_read_matrix_lines``, which alone decides what is rejected and which
-line and column a ``MatrixParseError`` names.  Both paths convert each field
+line and column a ``ParseError`` names.  Both paths convert each field
 to the correctly rounded double, so a file yields bit-identical values
 whichever path reads it.  ``write_matrix``
 formats the whole matrix with one ``%``-substitution whose output is
@@ -28,8 +28,7 @@ from . import linalg
 from .selection import SensorSelection
 
 __all__ = [
-    "MatrixParseError",
-    "SelectionParseError",
+    "ParseError",
     "read_matrix",
     "write_matrix",
     "read_selection",
@@ -37,22 +36,16 @@ __all__ = [
 ]
 
 
-class MatrixParseError(ValueError):
-    """Matrix file is malformed; carries 1-based ``line`` and ``column``."""
+class ParseError(ValueError):
+    """Malformed matrix, selection or config file, at 1-based ``line``/``column`` if known."""
 
-    def __init__(self, message: str, line: int, column: int | None = None):
-        where = f"line {line}" if column is None else f"line {line}, column {column}"
-        super().__init__(f"{message} ({where})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{message} ({where})"
+        super().__init__(message)
         self.line = line
         self.column = column
-
-
-class SelectionParseError(ValueError):
-    """Selection file is malformed; carries the 1-based ``line``."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
-        self.line = line
 
 
 def write_matrix(path, matrix) -> None:
@@ -113,7 +106,7 @@ def _read_matrix_lines(path, header: bool) -> np.ndarray:
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
-                raise MatrixParseError(
+                raise ParseError(
                     f"expected {width} fields, found {len(fields)}", line=lineno
                 )
             parsed = []
@@ -121,17 +114,17 @@ def _read_matrix_lines(path, header: bool) -> np.ndarray:
                 try:
                     value = float(token)
                 except ValueError:
-                    raise MatrixParseError(
+                    raise ParseError(
                         f"field {token!r} is not a number", line=lineno, column=colno
                     ) from None
                 if not np.isfinite(value):
-                    raise MatrixParseError(
+                    raise ParseError(
                         f"field {token!r} is not finite", line=lineno, column=colno
                     )
                 parsed.append(value)
             rows.append(parsed)
     if not rows:
-        raise MatrixParseError("file contains no data rows", line=1)
+        raise ParseError("file contains no data rows", line=1)
     return np.array(rows, dtype=np.float64)
 
 
@@ -147,41 +140,36 @@ def write_selection(path, selection: SensorSelection) -> None:
 
 def read_selection(path) -> list[tuple[int, list[int]]]:
     """Read a selection file as ``[(location, row_indices), ...]`` in rank order."""
-    entries: list[tuple[int, list[int]]] = []
+    entries: dict[int, list[int]] = {}
     with open(path, "r", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             head = next(reader)
         except StopIteration:
-            raise SelectionParseError("file is empty", line=1) from None
+            raise ParseError("file is empty", line=1) from None
         if [h.strip() for h in head] != ["rank", "location", "row_indices"]:
-            raise SelectionParseError(
-                "expected header 'rank,location,row_indices'", line=1
-            )
+            raise ParseError("expected header 'rank,location,row_indices'", line=1)
         for lineno, fields in enumerate(reader, start=2):
             if not fields:
                 continue
             if len(fields) != 3:
-                raise SelectionParseError("expected 3 fields", line=lineno)
+                raise ParseError("expected 3 fields", line=lineno)
             try:
                 order = int(fields[0])
                 location = int(fields[1])
                 rows = [int(tok) for tok in fields[2].split(";")]
             except ValueError:
-                raise SelectionParseError(
+                raise ParseError(
                     "rank, location and row_indices must be integers", line=lineno
                 ) from None
             if order != len(entries) + 1:
-                raise SelectionParseError(
-                    f"ranks must be consecutive from 1, found {order}", line=lineno
-                )
-            entries.append((location, rows))
+                raise ParseError(f"ranks must be consecutive from 1, found {order}", line=lineno)
+            if location in entries:
+                raise ParseError("locations must be distinct", line=lineno)
+            if entries and len(rows) != width:
+                raise ParseError("row_indices lists differ in length", line=lineno)
+            entries[location] = rows
+            width = len(rows)
     if not entries:
-        raise SelectionParseError("file contains no selections", line=2)
-    locations = [loc for loc, _ in entries]
-    if len(set(locations)) != len(locations):
-        raise SelectionParseError("locations must be distinct", line=2)
-    widths = {len(rows) for _, rows in entries}
-    if len(widths) != 1:
-        raise SelectionParseError("row_indices lists differ in length", line=2)
-    return entries
+        raise ParseError("file contains no selections", line=2)
+    return list(entries.items())

@@ -93,16 +93,8 @@ class PODBasis:
             object.__setattr__(self, "mean", mean)
 
     @property
-    def rank(self) -> int:
-        return self.modes.shape[1]
-
-    @property
     def n_dof(self) -> int:
         return self.modes.shape[0]
-
-    @property
-    def dof_per_component(self) -> int:
-        return self.modes.shape[0] // self.components
 
 
 def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PODBasis:

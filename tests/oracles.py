@@ -157,7 +157,7 @@ def read_matrix_lines(path, header: bool = False):
     """Reference CSV matrix reader: the plain line-by-line parser.
 
     Returns ``("ok", array)`` or ``("error", line, column, message)`` where
-    ``message`` is the text a ``MatrixParseError`` carries before its
+    ``message`` is the text a ``fileio.ParseError`` carries before its
     ``(line ...)`` suffix.
     """
     with open(path, "r", encoding="utf-8") as handle:

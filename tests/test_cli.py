@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -377,8 +378,6 @@ class TestBenchmarkCommand:
         ))
         out = tmp_path / "report"
         assert run(["benchmark", str(cfg), "-o", str(out)]) == 0
-        import json
-
         loaded = json.loads((tmp_path / "report.json").read_text())
         assert len(loaded["cells"]) == 4 * 2  # default methods x r values
         lines = (tmp_path / "report.csv").read_text().splitlines()
@@ -393,8 +392,6 @@ class TestBenchmarkCommand:
             "base_seed = 9\n"
             "methods = vector-greedy,random\n"
         ))
-        import json
-
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert run(["benchmark", str(cfg), "-o", str(out_a)]) == 0
@@ -406,6 +403,20 @@ class TestBenchmarkCommand:
         assert j_a == j_b
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        bare = "r_values = 2,4\ntrials = 2\nbase_seed = 5\nn_per_component = 12\n"
+        commented = ("# leading comment\n\nr_values = 2,4\n   # indented comment\n"
+                     "trials = 2\n  \t\nbase_seed = 5\n\nn_per_component = 12\n")
+        reports = []
+        for name, text in (("bare", bare), ("commented", commented)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            assert run(["benchmark", str(cfg), "-o", str(tmp_path / name)]) == 0
+            loaded = json.loads((tmp_path / f"{name}.json").read_text())
+            loaded.pop("wall_time_seconds")
+            reports.append((loaded, (tmp_path / f"{name}.csv").read_bytes()))
+        assert reports[0] == reports[1]
+
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = self.config(tmp_path, "r_values = 4\nbase_seed = 1\nwidgets = 9\n")
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 2
@@ -413,6 +424,10 @@ class TestBenchmarkCommand:
 
     def test_missing_base_seed_exits_4(self, tmp_path):
         cfg = self.config(tmp_path, "r_values = 4\n")
+        assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 4
+
+    def test_missing_base_seed_is_reported_before_bad_values(self, tmp_path):
+        cfg = self.config(tmp_path, "r_values = x\ntrials = two\n")
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 4
 
     def test_missing_r_values_exits_2(self, tmp_path, capsys):
@@ -430,9 +445,16 @@ class TestBenchmarkCommand:
         ("noise_sigma = 0.1", "unknown config key 'noise_sigma'"),
         # Any comma list parses as method names; the config rejects unknown ones.
         ("methods = vector-greedy,bogus", "unknown method 'bogus'"),
-        ("r_values 4", "expected 'key = value' on line 2"),
-        ("r_values = 2\nr_values = 4", "repeated config key 'r_values' on line 3"),
+        ("r_values 4", "expected 'key = value' (line 2)"),
+        ("r_values = 2\nr_values = 4", "repeated config key 'r_values' (line 3)"),
         ("r_values = 4,4", "r_values must be unique"),
+        # Unknown keys and bad values name their own line, not the last one.
+        ("widgets = 9\ntrials = 2", "unknown config key 'widgets' (line 3)"),
+        ("r_values = x\ntrials = 2", "bad config value: invalid literal for int() with base 10: "
+                                      "'x' (line 2)"),
+        # A '#' after a value is part of the value, not a comment.
+        ("trials = 2 # two", "bad config value: invalid literal for int() with base 10: "
+                             "'2 # two' (line 3)"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, line, message):
         key = line.split()[0]

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import read_matrix_lines, write_matrix_lines
 from sensorplace import fileio
 from sensorplace.fileio import (
-    MatrixParseError,
-    SelectionParseError,
+    ParseError,
     read_matrix,
     read_selection,
     write_matrix,
@@ -42,14 +41,14 @@ class TestMatrixFiles:
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,4,5\n")
-        with pytest.raises(MatrixParseError) as info:
+        with pytest.raises(ParseError) as info:
             read_matrix(path)
         assert info.value.line == 2
 
     def test_non_numeric_field_names_line_and_column(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,oops\n")
-        with pytest.raises(MatrixParseError) as info:
+        with pytest.raises(ParseError) as info:
             read_matrix(path)
         assert info.value.line == 2
         assert info.value.column == 2
@@ -57,13 +56,13 @@ class TestMatrixFiles:
     def test_non_finite_field_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,inf\n")
-        with pytest.raises(MatrixParseError):
+        with pytest.raises(ParseError):
             read_matrix(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")
-        with pytest.raises(MatrixParseError):
+        with pytest.raises(ParseError):
             read_matrix(path)
 
 
@@ -99,7 +98,7 @@ def assert_matches_reference(path, header):
         assert np.array_equal(got.view(np.uint64), expected[1].view(np.uint64))
         return got
     _, line, column, message = expected
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix(path, header=header)
     assert (info.value.line, info.value.column) == (line, column)
     where = f"line {line}" if column is None else f"line {line}, column {column}"
@@ -258,37 +257,38 @@ class TestSelectionFiles:
     def test_header_required(self, tmp_path):
         path = tmp_path / "sel.csv"
         path.write_text("1,0,0\n")
-        with pytest.raises(SelectionParseError):
+        with pytest.raises(ParseError):
             read_selection(path)
 
     def test_ranks_must_be_consecutive(self, tmp_path):
         path = tmp_path / "sel.csv"
         path.write_text("rank,location,row_indices\n1,0,0\n3,1,1\n")
-        with pytest.raises(SelectionParseError) as info:
+        with pytest.raises(ParseError) as info:
             read_selection(path)
         assert info.value.line == 3
 
     def test_duplicate_locations_rejected(self, tmp_path):
         path = tmp_path / "sel.csv"
         path.write_text("rank,location,row_indices\n1,0,0\n2,0,0\n")
-        with pytest.raises(SelectionParseError):
+        with pytest.raises(ParseError):
             read_selection(path)
 
     def test_non_integer_rejected(self, tmp_path):
         path = tmp_path / "sel.csv"
         path.write_text("rank,location,row_indices\n1,0.5,0\n")
-        with pytest.raises(SelectionParseError):
+        with pytest.raises(ParseError):
             read_selection(path)
 
     @pytest.mark.parametrize("text, message, line", [
         ("", "file is empty", 1),
         ("rank,location,row_indices\n1,0,0\n2,1\n", "expected 3 fields", 3),
         ("rank,location,row_indices\n\n", "no selections", 2),
-        ("rank,location,row_indices\n1,0,0;5\n2,1,1\n", "differ in length", 2),
-    ], ids=["empty", "short-row", "no-rows", "ragged-widths"])
+        ("rank,location,row_indices\n1,0,0;5\n2,1,1\n", "differ in length", 3),
+        ("rank,location,row_indices\n1,0,0\n2,1,1\n3,2,2\n4,0,0\n", "must be distinct", 5),
+    ], ids=["empty", "short-row", "no-rows", "ragged-widths", "repeated-location"])
     def test_malformed_file_names_problem_and_line(self, tmp_path, text, message, line):
         path = tmp_path / "sel.csv"
         path.write_text(text)
-        with pytest.raises(SelectionParseError, match=message) as info:
+        with pytest.raises(ParseError, match=message) as info:
             read_selection(path)
         assert info.value.line == line
