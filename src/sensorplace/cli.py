@@ -119,20 +119,18 @@ def _cmd_reconstruct(args) -> int:
 
 def _parse_benchmark_config(path) -> ExperimentConfig:
     raw: dict[str, tuple[int, str]] = {}  # key -> (line, raw value)
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise fileio.ParseError("expected 'key = value'", line=lineno)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise fileio.ParseError(f"unknown config key {key!r}", line=lineno)
-            if key in raw:
-                raise fileio.ParseError(f"repeated config key {key!r}", line=lineno)
-            raw[key] = (lineno, value.strip())
+    for lineno, text in fileio._text_lines(path):
+        if text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise fileio.ParseError("expected 'key = value'", line=lineno)
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise fileio.ParseError(f"unknown config key {key!r}", line=lineno)
+        if key in raw:
+            raise fileio.ParseError(f"repeated config key {key!r}", line=lineno)
+        raw[key] = (lineno, value.strip())
     if "base_seed" not in raw:
         raise MissingOptionError("config must set base_seed")
     if "r_values" not in raw:

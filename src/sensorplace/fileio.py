@@ -1,10 +1,13 @@
-"""CSV file formats for matrices and selections.
+"""CSV file formats for matrices and selections, and the one input line reader.
 
-Matrix files are plain comma-separated rows, one matrix row per line, written
-with 17 significant digits so every finite double survives a write/read round
-trip bit-exactly.  Selection files carry a fixed header
-``rank,location,row_indices`` with one line per sensor in selection order;
-``row_indices`` is a semicolon-joined list of stacked row indices.
+Every input file (matrix, selection or benchmark config) is UTF-8 text read by
+``_text_lines`` with universal newlines, skipping blank lines; a byte that is not
+UTF-8 is a ``ParseError`` naming its line.  Matrix files are comma-separated
+rows, one matrix row per line, written with 17 significant digits so every
+finite double survives a write/read round trip bit-exactly.  Selection files
+carry a fixed header ``rank,location,row_indices`` with one line per sensor in
+selection order; ``row_indices`` is a semicolon-joined list of stacked row
+indices.  Fields are split on commas; CSV quoting is not part of either format.
 
 ``read_matrix`` first parses the whole file with one ``np.loadtxt`` call and
 keeps the result only when it is non-empty and entirely finite.  Anything else
@@ -19,7 +22,6 @@ byte-identical to formatting each element with ``f"{x:.17g}"``.
 
 from __future__ import annotations
 
-import csv
 import warnings
 
 import numpy as np
@@ -46,6 +48,18 @@ class ParseError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def _text_lines(path):
+    """Yield ``(1-based line number, stripped text)`` for each non-blank line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:  # surrogateescape turned each byte that is not UTF-8 into a lone surrogate
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("line is not UTF-8 text", line=lineno) from None
+            if text := raw.strip():
+                yield lineno, text
 
 
 def write_matrix(path, matrix) -> None:
@@ -95,81 +109,69 @@ def _read_matrix_lines(path, header: bool) -> np.ndarray:
     """Line-by-line parser behind ``read_matrix``; names the first bad field."""
     rows: list[list[float]] = []
     width: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if header and lineno == 1:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
+    for lineno, line in _text_lines(path):
+        if header and lineno == 1:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ParseError(f"expected {width} fields, found {len(fields)}", line=lineno)
+        parsed = []
+        for colno, token in enumerate(fields, start=1):
+            try:
+                value = float(token)
+            except ValueError:
                 raise ParseError(
-                    f"expected {width} fields, found {len(fields)}", line=lineno
-                )
-            parsed = []
-            for colno, token in enumerate(fields, start=1):
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ParseError(
-                        f"field {token!r} is not a number", line=lineno, column=colno
-                    ) from None
-                if not np.isfinite(value):
-                    raise ParseError(
-                        f"field {token!r} is not finite", line=lineno, column=colno
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+                    f"field {token!r} is not a number", line=lineno, column=colno
+                ) from None
+            if not np.isfinite(value):
+                raise ParseError(f"field {token!r} is not finite", line=lineno, column=colno)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise ParseError("file contains no data rows", line=1)
     return np.array(rows, dtype=np.float64)
 
 
 def write_selection(path, selection: SensorSelection) -> None:
-    """Write a selection file (header ``rank,location,row_indices``)."""
+    """Write a selection file (header ``rank,location,row_indices``; CRLF line ends)."""
     s, rows = selection.components, selection.selected_rows
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "location", "row_indices"])
+        handle.write("rank,location,row_indices\r\n")
         for k, loc in enumerate(selection.locations):
-            writer.writerow([k + 1, loc, ";".join(map(str, rows[k * s : (k + 1) * s]))])
+            handle.write(f"{k + 1},{loc}," + ";".join(map(str, rows[k * s : (k + 1) * s])) + "\r\n")
 
 
 def read_selection(path) -> list[tuple[int, list[int]]]:
     """Read a selection file as ``[(location, row_indices), ...]`` in rank order."""
     entries: dict[int, list[int]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    lines = _text_lines(path)
+    head_lineno, head = next(lines, (1, None))
+    if head is None:
+        raise ParseError("file is empty", line=1)
+    if [h.strip() for h in head.split(",")] != ["rank", "location", "row_indices"]:
+        raise ParseError("expected header 'rank,location,row_indices'", line=head_lineno)
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ParseError("expected 3 fields", line=lineno)
         try:
-            head = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty", line=1) from None
-        if [h.strip() for h in head] != ["rank", "location", "row_indices"]:
-            raise ParseError("expected header 'rank,location,row_indices'", line=1)
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != 3:
-                raise ParseError("expected 3 fields", line=lineno)
-            try:
-                order = int(fields[0])
-                location = int(fields[1])
-                rows = [int(tok) for tok in fields[2].split(";")]
-            except ValueError:
-                raise ParseError(
-                    "rank, location and row_indices must be integers", line=lineno
-                ) from None
-            if order != len(entries) + 1:
-                raise ParseError(f"ranks must be consecutive from 1, found {order}", line=lineno)
-            if location in entries:
-                raise ParseError("locations must be distinct", line=lineno)
-            if entries and len(rows) != width:
-                raise ParseError("row_indices lists differ in length", line=lineno)
-            entries[location] = rows
-            width = len(rows)
+            order = int(fields[0])
+            location = int(fields[1])
+            rows = [int(tok) for tok in fields[2].split(";")]
+        except ValueError:
+            raise ParseError(
+                "rank, location and row_indices must be integers", line=lineno
+            ) from None
+        if order != len(entries) + 1:
+            raise ParseError(f"ranks must be consecutive from 1, found {order}", line=lineno)
+        if location in entries:
+            raise ParseError("locations must be distinct", line=lineno)
+        if entries and len(rows) != width:
+            raise ParseError("row_indices lists differ in length", line=lineno)
+        entries[location] = rows
+        width = len(rows)
     if not entries:
-        raise ParseError("file contains no selections", line=2)
+        raise ParseError("file contains no selections", line=head_lineno + 1)
     return list(entries.items())

@@ -464,6 +464,38 @@ class TestBenchmarkCommand:
         assert run(["benchmark", str(cfg), "-o", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_line_ends(self, tmp_path, eol):
+        lines = ["# ranks", "r_values = 2,4", "", "trials = 2", "base_seed = 5"]
+        cfg = tmp_path / "bench.cfg"
+        configs = []
+        for ending in ("\n", eol):
+            cfg.write_bytes(ending.join(lines).encode("utf-8"))
+            configs.append(cli._parse_benchmark_config(cfg))
+        assert configs[0] == configs[1]
+        cfg.write_bytes(eol.join(lines + ["widgets = 9"]).encode("utf-8"))
+        with pytest.raises(fileio.ParseError, match=r"'widgets' \(line 6\)"):
+            cli._parse_benchmark_config(cfg)
+
+
+@pytest.mark.parametrize("command, data, line", [
+    ("pod", b"1,2\n\xff,3\n", 2),
+    ("reconstruct", b"rank,location,row_indices\n1,0,0\n2,1,1\n3,\xff,2\n", 4),
+    ("benchmark", b"r_values = 4\nba\xffse_seed = 1\n", 2),
+], ids=["pod", "reconstruct", "benchmark"])
+def test_byte_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, command, data, line):
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    eye = tmp_path / "eye.csv"
+    fileio.write_matrix(eye, np.eye(3))
+    args = {
+        "pod": [str(bad), str(tmp_path / "m.csv"), str(tmp_path / "s.csv"), "-r", "1"],
+        "reconstruct": [str(eye), str(bad), str(eye), str(tmp_path / "amps.csv")],
+        "benchmark": [str(bad), "-o", str(tmp_path / "r")],
+    }[command]
+    assert run([command, *args]) == 2
+    assert capsys.readouterr().err.endswith(f"is not UTF-8 text (line {line})\n")
+
 
 def python(*args):
     """Run a fresh interpreter that imports ``sensorplace`` from this checkout."""

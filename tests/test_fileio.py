@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import read_matrix_lines, write_matrix_lines
-from sensorplace import fileio
+from sensorplace import cli, fileio
 from sensorplace.fileio import (
     ParseError,
     read_matrix,
@@ -254,6 +254,25 @@ class TestSelectionFiles:
         assert [loc for loc, _ in entries] == [4, 0, 2]
         assert entries[0][1] == [4, 10]
 
+    def test_written_bytes(self, tmp_path):
+        sel = SensorSelection(locations=(4, 0, 2), components=2,
+                              dof_per_component=6, method="vector-greedy")
+        path = tmp_path / "sel.csv"
+        write_selection(path, sel)
+        assert path.read_bytes() == (
+            b"rank,location,row_indices\r\n1,4,4;10\r\n2,0,0;6\r\n3,2,2;8\r\n"
+        )
+
+    @pytest.mark.parametrize("text", [
+        "\n \t\nrank,location,row_indices\n1,4,4;10\n\n  \n2,0,0;6\n\n",
+        "rank,location,row_indices\r\n1,4,4;10\r\n\r\n2,0,0;6\r\n",
+        "rank,location,row_indices\r1,4,4;10\r\r2,0,0;6",
+    ], ids=["blank-lines", "crlf", "lone-cr"])
+    def test_blank_lines_and_line_ends(self, tmp_path, text):
+        path = tmp_path / "sel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_selection(path) == [(4, [4, 10]), (0, [0, 6])]
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "sel.csv"
         path.write_text("1,0,0\n")
@@ -285,10 +304,30 @@ class TestSelectionFiles:
         ("rank,location,row_indices\n\n", "no selections", 2),
         ("rank,location,row_indices\n1,0,0;5\n2,1,1\n", "differ in length", 3),
         ("rank,location,row_indices\n1,0,0\n2,1,1\n3,2,2\n4,0,0\n", "must be distinct", 5),
-    ], ids=["empty", "short-row", "no-rows", "ragged-widths", "repeated-location"])
+        # CSV quoting is not part of the format.
+        ('rank,location,row_indices\n"1","0","0"\n', "must be integers", 2),
+        ("\n\nrank,location\n1,0,0\n", "expected header", 3),
+        ("\n\nrank,location,row_indices\n", "no selections", 4),
+        ("rank,location,row_indices\r1,0,0\r\r2,1\r", "expected 3 fields", 4),
+    ], ids=["empty", "short-row", "no-rows", "ragged-widths", "repeated-location",
+            "quoted-fields", "header-after-blank-lines", "no-rows-after-blank-lines",
+            "lone-cr-line-ends"])
     def test_malformed_file_names_problem_and_line(self, tmp_path, text, message, line):
         path = tmp_path / "sel.csv"
         path.write_text(text)
         with pytest.raises(ParseError, match=message) as info:
             read_selection(path)
         assert info.value.line == line
+
+
+@pytest.mark.parametrize("read, data, line", [
+    (read_matrix, b"1,2\n\xff,3\n", 2),
+    (read_selection, b"rank,location,row_indices\n1,0,0\n2,1,1\n3,\xff,2\n", 4),
+    (cli._parse_benchmark_config, b"r_values = 4\nba\xffse_seed = 1\n", 2),
+], ids=["matrix", "selection", "config"])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, read, data, line):
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="not UTF-8") as info:
+        read(path)
+    assert info.value.line == line
