@@ -53,7 +53,7 @@ class MeasurementModel:
         if c.shape[0] != rows:
             raise ValueError(f"measurement matrix shape {c.shape} does not match {rows} rows")
         if rows > c.shape[1]:
-            raise ValueError(f"underdetermined recovery: {rows} rows exceed rank {c.shape[1]}")
+            raise ValueError(f"overdetermined recovery: {rows} rows exceed rank {c.shape[1]}")
         q, r = np.linalg.qr(c.T)
         zero = linalg._zero_pivots(c, np.abs(np.diagonal(r)))
         for name, value in zip(("c", "_q", "_r", "_zero"), (c, q, r, zero)):

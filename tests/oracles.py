@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: determinants
 by cofactor expansion, greedy step optimality by exhaustive enumeration over
 remaining candidates in floating point, whole greedy runs by re-projecting
 every location from scratch at every step, the capped-simplex projection by
-100 bisection passes, CSV files by plain line-by-line parsing, and the
+100 bisection passes, the convex relaxation's optimum by SciPy's SLSQP on
+explicit per-location Grams, CSV files by plain line-by-line parsing, and the
 random-candidate study by its plain per-trial loop over the public selectors.
 Exact greedy step optimality (fraction-free Bareiss elimination of integer
 Gram matrices) is the benchmark's oracle, ``exact_step_violations`` of
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.optimize
 
 
 def load_bench_module(name: str):
@@ -151,6 +153,35 @@ def bisect_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
         else:
             hi = mid
     return np.clip(x - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def slsqp_relaxation(candidate: np.ndarray, sensors: int, components: int) -> float:
+    """Half ``ln det`` at SLSQP's optimum of the ridged log-det relaxation ``select_convex`` solves.
+
+    Maximizes ``ln det(sum_i z_i G_i + ridge)``, ``G_i = A_i^T A_i`` formed per location,
+    over ``0 <= z <= 1, sum z = p`` with the analytic gradient ``tr(info^-1 G_i)``.
+    """
+    n, r = candidate.shape
+    dof = n // components
+    ridge = 1e-9 * np.sum(candidate**2) / r * np.eye(r)
+    blocks = [candidate[location_rows(i, dof, components)] for i in range(dof)]
+    grams = np.array([block.T @ block for block in blocks])
+
+    def negative(z):
+        info = np.tensordot(z, grams, 1) + ridge
+        sign, value = np.linalg.slogdet(info)
+        assert sign > 0
+        return -value, -np.einsum("jk,ikj->i", np.linalg.inv(info), grams)
+
+    result = scipy.optimize.minimize(
+        negative, np.full(dof, sensors / dof), jac=True, method="SLSQP",
+        bounds=[(0.0, 1.0)] * dof,
+        constraints=[{"type": "eq", "fun": lambda z: z.sum() - sensors,
+                      "jac": lambda z: np.ones(dof)}],
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    assert result.success, result.message
+    return -0.5 * result.fun
 
 
 def read_matrix_lines(path, header: bool = False):

@@ -123,21 +123,26 @@ class TestSelectCommand:
                  "-m", "qr-pivot", "-p", "1"])
         assert info.value.code == 2
 
-    def test_convex_writes_the_library_selection(self, tmp_path):
-        candidate = np.random.default_rng(5).standard_normal((16, 4))
+    @pytest.mark.parametrize("seed, shape, p, s", [
+        (5, (16, 4), 2, 2),
+        (0, (300, 12), 1, 1),  # a wide budget, s * p < r
+    ])
+    def test_convex_writes_the_library_selection(self, tmp_path, seed, shape, p, s):
+        candidate = np.random.default_rng(seed).standard_normal(shape)
         modes = tmp_path / "modes.csv"
         fileio.write_matrix(modes, candidate)
         out = tmp_path / "sel.csv"
-        assert run(["select", str(modes), str(out), "-m", "convex", "-p", "2", "-s", "2"]) == 0
-        expected = select_convex(candidate, 2, components=2)
+        args = ["-m", "convex", "-p", str(p), "-s", str(s)]
+        assert run(["select", str(modes), str(out), *args]) == 0
+        expected = select_convex(candidate, p, components=s)
         assert fileio.read_selection(out) == [
-            (loc, list(expected.selected_rows[2 * k : 2 * k + 2]))
+            (loc, list(expected.selected_rows[s * k : s * k + s]))
             for k, loc in enumerate(expected.locations)
         ]
 
     def test_solver_non_convergence_exits_5(self, tmp_path, monkeypatch, capsys):
         def stalled(*args, **kwargs):
-            raise ConvexSolverError("projected gradient did not converge", 1e-3)
+            raise ConvexSolverError("projected gradient did not converge")
 
         monkeypatch.setattr(cli, "select_convex", stalled)
         modes = tmp_path / "modes.csv"

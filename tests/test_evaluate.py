@@ -58,7 +58,7 @@ class TestBuildModel:
 
     def test_overdetermined_budget_rejected(self):
         sel = selection_of([0, 1, 2], components=1, dof=4)
-        with pytest.raises(ValueError, match="underdetermined recovery: 3 rows exceed rank 2"):
+        with pytest.raises(ValueError, match="overdetermined recovery: 3 rows exceed rank 2"):
             build_model(np.eye(4, 2), sel)
 
     def test_non_finite_raw_candidate_rejected(self):
@@ -84,7 +84,7 @@ class TestBuildModel:
             MeasurementModel(c=np.ones((3, 4)), selection=selection_of([0, 1], 1, 5))
 
     def test_direct_model_with_more_rows_than_rank_rejected(self):
-        with pytest.raises(ValueError, match="underdetermined recovery: 3 rows exceed rank 2"):
+        with pytest.raises(ValueError, match="overdetermined recovery: 3 rows exceed rank 2"):
             MeasurementModel(c=np.eye(3, 2), selection=selection_of([0, 1, 2], 1, 5))
 
 

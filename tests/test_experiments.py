@@ -15,7 +15,6 @@ from sensorplace.experiments import (
     run_reconstruction_study,
 )
 from sensorplace.pod import compute_pod
-from sensorplace.selection import ConvexSolverError
 
 from oracles import random_benchmark_cells, reconstruction_study_cells
 
@@ -171,9 +170,6 @@ class TestRandomBenchmark:
         assert len(report.cells) == len(cfg.methods) * len(cfg.r_values)
         assert report.cell("random", 4).std == 0.0
 
-    @pytest.mark.xfail(strict=True, raises=ConvexSolverError, reason=(
-        "FOUND in CHANGES.md: one non-converging convex solve (trial seed 21, r = 3) "
-        "aborts the whole study instead of being counted (ROADMAP item 3, convergence)"))
     def test_one_non_converging_convex_solve_does_not_abort_the_study(self):
         cfg = ExperimentConfig(r_values=(3, 6), base_seed=7, n_per_component=30, components=3,
                                trials=19, methods=("vector-greedy", "random", "convex"))

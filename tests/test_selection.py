@@ -24,6 +24,7 @@ from oracles import (
     exact_step_violations,
     exhaustive_step_argmax,
     explicit_greedy,
+    slsqp_relaxation,
 )
 
 
@@ -638,13 +639,13 @@ class TestConvex:
         assert wins >= 90
         assert sel.relaxation_objective is not None
 
-    def test_nonconvergence_raises_with_gradient_norm(self, monkeypatch):
+    def test_step_cap_raises_naming_the_gap(self, monkeypatch):
         rng = np.random.default_rng(53)
         candidate = rng.standard_normal((2 * 25, 6))
         monkeypatch.setattr(selection, "_CONVEX_MAX_ITERS", 1)
-        with pytest.raises(ConvexSolverError) as info:
+        with pytest.raises(ConvexSolverError, match=r"^duality gap \S+ above tolerance 1\.0e-04 "
+                                                    r"after 1 steps$"):
             select_convex(candidate, 3, components=2)
-        assert info.value.gradient_norm > 0.0
 
     def test_stalled_line_search_raises_at_once(self, monkeypatch):
         # No trial step can meet this Armijo constant, so the first step's
@@ -659,9 +660,9 @@ class TestConvex:
             return logdet(*args)
 
         monkeypatch.setattr(selection, "_relaxation_logdet", counted)
-        with pytest.raises(ConvexSolverError, match="stalled") as info:
+        with pytest.raises(ConvexSolverError, match=r"^duality gap \S+ above tolerance 1\.0e-04 "
+                                                    r"after 0 steps, line search stalled$"):
             select_convex(candidate, 3, components=2)
-        assert info.value.gradient_norm > 0.0
 
     def test_tall_orthonormal_candidate_keeps_its_picks(self):
         # A projection whose sum is off by about 1e-12 stalls the line search here.
@@ -695,16 +696,32 @@ class TestConvex:
         assert taus.size == 0 or taus.max() - taus.min() <= 1e-12 * size
 
     def test_slow_gaussian_instance_converges(self):
-        # Needs more than 500 steps to reach the gradient tolerance.
+        # Needs 354 steps to close its duality gap.
         candidate = np.random.default_rng(215).standard_normal((300, 9))
         assert select_convex(candidate, 3, components=3).locations == (67, 53, 57)
 
-    @pytest.mark.xfail(strict=True, raises=ConvexSolverError, reason=(
-        "FOUND in CHANGES.md: projected gradient ascent is still above its tolerance "
-        "after 2000 steps (ROADMAP item 3, convergence)"))
     def test_slower_gaussian_instance_converges(self):
+        # Needs 1266 steps to close its duality gap, most of the 2000-step cap.
         candidate = np.random.default_rng(12).standard_normal((300, 9))
-        select_convex(candidate, 3, components=3)
+        assert select_convex(candidate, 3, components=3).locations == (95, 7, 13)
+
+    @pytest.mark.parametrize("s, seed", [(1, 0), (1, 4), (2, 1), (2, 5), (3, 26), (3, 50)])
+    def test_single_sensor_on_a_wide_budget_completes(self, s, seed):
+        # A wide budget, s * p < r = 12, on 300 / s locations.
+        candidate = np.random.default_rng(seed).standard_normal((300, 12))
+        assert np.isfinite(select_convex(candidate, 1, components=s).relaxation_objective)
+
+    def test_relaxation_objective_matches_slsqp(self):
+        # Square and wide budgets, s = 1..3, 8-12 locations: the gap stop certifies
+        # relaxation_objective to within 5e-5 below the optimum, and no feasible z beats it.
+        for s in (1, 2, 3):
+            for seed in range(10):
+                dof, p = 8 + seed % 5, 2 + seed % 3
+                for r in (s * p, s * p + 1 + seed % 3):
+                    candidate = np.random.default_rng([s, seed, r]).standard_normal((s * dof, r))
+                    got = select_convex(candidate, p, components=s).relaxation_objective
+                    optimum = slsqp_relaxation(candidate, p, s)
+                    assert optimum - 5e-5 <= got <= optimum + 1e-9, (s, seed, r)
 
     def test_objective_and_gradient_match_explicit_sums(self):
         rng = np.random.default_rng(54)
