@@ -13,17 +13,17 @@ independent streams within a trial are derived from it with fixed tags,
 * observation-noise seed: ``SeedSequence([trial_seed, 2, r]).generate_state(1)[0]``
 
 so all methods inside one trial see identical data and co-located noise
-(paired trials), and reruns with the same config are bit-identical.  A worker
-thread draws the random benchmark's next chunk; the values do not depend on it.
+(paired trials), and reruns with the same config are bit-identical.  The random
+benchmark draws ahead on a one-thread executor; the values do not depend on it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -286,8 +286,8 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     candidates, each rank's held in one component-major stack: vector greedy
     selects on all of them in one kernel call and every scalar component on
     all of them in one more, and the measurement matrices of every method of
-    the chunk are scored in one stacked QR.  While a chunk is selected, a worker
-    thread draws the next, of any rank; the values do not depend on the worker.
+    the chunk are scored in one stacked QR.  While a chunk is selected, a
+    one-thread executor draws the next, of any rank; no value depends on the thread.
     """
     start = time.perf_counter()
     values: dict[tuple[str, int], list[float]] = {
@@ -297,33 +297,26 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     jobs = [(r, range(cfg.base_seed + first, cfg.base_seed + min(first + chunk, cfg.trials)))
             for r in cfg.r_values for chunk in [_trial_chunk(s * npc, r)]
             for first in range(0, cfg.trials, chunk)]
-    failures: list[BaseException] = []
 
-    def fill(todo, draw: np.ndarray, r: int) -> None:
-        try:
-            for member, trial_seed in todo:
-                _data_rng(trial_seed, r).standard_normal(out=draw)
-                member[...] = draw.reshape(s, npc, r).transpose(0, 2, 1)
-        except BaseException as exc:  # raised on the caller's thread after the join
-            failures.append(exc)
+    def fill(todo, r: int) -> None:
+        draw = np.empty((s * npc, r))
+        for member, trial_seed in todo:
+            _data_rng(trial_seed, r).standard_normal(out=draw)
+            member[...] = draw.reshape(s, npc, r).transpose(0, 2, 1)
 
     def draw_ahead(r: int, seeds: range):
         stack = np.empty((len(seeds), s, r, npc))  # allocated on this thread
         todo = zip(stack, seeds)  # each trial is drawn by the thread that takes it first
-        worker = threading.Thread(target=fill, args=(todo, np.empty((s * npc, r)), r))
-        worker.start()
-        return stack, todo, worker
+        return stack, todo, worker.submit(fill, todo, r)
 
-    ahead, todo, worker = draw_ahead(*jobs[0])
-    try:
+    with ThreadPoolExecutor(max_workers=1) as worker:  # leaving the block joins its thread
+        ahead, todo, drawn = draw_ahead(*jobs[0])
         for i, (r, seeds) in enumerate(jobs):
-            fill(todo, np.empty((s * npc, r)), r)  # the trials the worker has not reached
-            worker.join()
-            if failures:
-                raise failures[0]
+            fill(todo, r)  # the trials the worker has not reached
+            drawn.result()  # re-raises what the worker raised
             stack = ahead  # frees the previous chunk before the next is allocated
             if i + 1 < len(jobs):
-                ahead, todo, worker = draw_ahead(*jobs[i + 1])
+                ahead, todo, drawn = draw_ahead(*jobs[i + 1])
             picks = _select_chunk(cfg.methods, stack, seeds)
             # Row k*s + j of each C is component j at its k-th location, as in ``selected_rows``.
             locs = np.stack(list(picks.values()))
@@ -331,8 +324,6 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
             scores = linalg.log_row_volume(rows.reshape(*locs.shape[:2], -1, r))
             for method, row in zip(picks, scores):
                 values[(method, r)].extend(float(v) for v in row if np.isfinite(v))
-    finally:
-        worker.join()
     return _aggregate(
         "random-benchmark",
         "log_det",

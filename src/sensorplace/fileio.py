@@ -8,16 +8,16 @@ finite double survives a write/read round trip bit-exactly.  Selection files
 carry a fixed header ``rank,location,row_indices`` with one line per sensor in
 selection order; ``row_indices`` is a semicolon-joined list of stacked row
 indices.  Fields are split on commas; CSV quoting is not part of either format.
+Numeric fields are ASCII decimals: ``_`` or a non-ASCII digit is a ``ParseError``.
 
 ``read_matrix`` first parses the whole file with one ``np.loadtxt`` call and
 keeps the result only when it is non-empty and entirely finite.  Anything else
 (a loadtxt error, no rows, NaN or Inf) re-reads the file with the line-by-line
 parser ``_read_matrix_lines``, which alone decides what is rejected and which
-line and column a ``ParseError`` names.  Both paths convert each field
-to the correctly rounded double, so a file yields bit-identical values
-whichever path reads it.  ``write_matrix``
-formats the whole matrix with one ``%``-substitution whose output is
-byte-identical to formatting each element with ``f"{x:.17g}"``.
+line and column a ``ParseError`` names.  Both paths convert each field to the
+correctly rounded double, so a file yields bit-identical values whichever path
+reads it.  ``write_matrix`` formats the whole matrix with one ``%``-substitution
+whose output is byte-identical to formatting each element with ``f"{x:.17g}"``.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ def _read_matrix_lines(path, header: bool) -> np.ndarray:
         parsed = []
         for colno, token in enumerate(fields, start=1):
             try:
+                if "_" in token or not token.strip().isascii():  # float() alone accepts both
+                    raise ValueError
                 value = float(token)
             except ValueError:
                 raise ParseError(
@@ -157,8 +159,9 @@ def read_selection(path) -> list[tuple[int, list[int]]]:
         if len(fields) != 3:
             raise ParseError("expected 3 fields", line=lineno)
         try:
-            order = int(fields[0])
-            location = int(fields[1])
+            if "_" in line or not "".join(line.split()).isascii():  # int() alone accepts both
+                raise ValueError
+            order, location = int(fields[0]), int(fields[1])
             rows = [int(tok) for tok in fields[2].split(";")]
         except ValueError:
             raise ParseError(

@@ -206,6 +206,9 @@ def read_matrix_lines(path, header: bool = False):
         for colno in range(1, len(tokens) + 1):
             token = tokens[colno - 1]
             try:
+                # An ASCII decimal: float() alone also takes "_" and non-ASCII digits.
+                if any(c == "_" or (ord(c) > 127 and not c.isspace()) for c in token):
+                    raise ValueError(token)
                 value = float(token)
             except ValueError:
                 return ("error", lineno, colno, f"field {token!r} is not a number")

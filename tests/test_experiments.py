@@ -220,18 +220,20 @@ class TestRandomBenchmark:
             assert cell.std == pytest.approx(std, rel=1e-9), (cell.method, cell.r)
 
 
+    @pytest.mark.parametrize("base", [RuntimeError, BaseException])
     @pytest.mark.parametrize("fail_in", [None, "draw", "select"])
     def test_failure_in_a_later_chunk_is_raised_and_no_thread_outlives_the_call(
-        self, fail_in, monkeypatch
+        self, fail_in, base, monkeypatch
     ):
         # Five chunks over two ranks; the worker draws the next chunk while one
         # is selected.  A failure while drawing the last chunk (on whichever
         # thread draws that trial) or while selecting the second is raised here,
-        # and the worker is joined on every exit path.
+        # also one that is not an ``Exception``, and the worker is joined on
+        # every exit path.
         cfg = small_benchmark_config()
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * 8 * 50 * 4)
 
-        class Planted(RuntimeError):
+        class Planted(base):
             pass
 
         data_rng, select_chunk, selected = experiments._data_rng, experiments._select_chunk, []

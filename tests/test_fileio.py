@@ -53,6 +53,20 @@ class TestMatrixFiles:
         assert info.value.line == 2
         assert info.value.column == 2
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1,2\n1_000,2\n", 2, 1),
+        ("1,2\n3,\u0661\u0662\n", 2, 2),  # Arabic-Indic digits
+    ], ids=["underscore", "arabic-indic-digits"])
+    def test_field_that_is_not_an_ascii_decimal_names_line_and_column(
+        self, tmp_path, text, line, column
+    ):
+        # Python's float() would read each of these fields as a number.
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="is not a number") as info:
+            read_matrix(path)
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_non_finite_field_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,inf\n")
@@ -309,12 +323,15 @@ class TestSelectionFiles:
         ("\n\nrank,location\n1,0,0\n", "expected header", 3),
         ("\n\nrank,location,row_indices\n", "no selections", 4),
         ("rank,location,row_indices\r1,0,0\r\r2,1\r", "expected 3 fields", 4),
+        # int() alone would read both as location 10.
+        ("rank,location,row_indices\n1,1_0,1_0\n", "must be integers", 2),
+        ("rank,location,row_indices\n1,0,0\n2,\u0661\u0660,10\n", "must be integers", 3),
     ], ids=["empty", "short-row", "no-rows", "ragged-widths", "repeated-location",
             "quoted-fields", "header-after-blank-lines", "no-rows-after-blank-lines",
-            "lone-cr-line-ends"])
+            "lone-cr-line-ends", "underscore-in-integers", "arabic-indic-digits"])
     def test_malformed_file_names_problem_and_line(self, tmp_path, text, message, line):
         path = tmp_path / "sel.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=message) as info:
             read_selection(path)
         assert info.value.line == line

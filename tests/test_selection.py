@@ -415,6 +415,9 @@ class TestRecomputePath:
         (2, 3, 1, 5, 182),  # 1.6e-37
         (2, 2, 1, 4, 153124),  # 1.3e-37
         (2, 2, 1, 2, 31),  # 1.1e-36
+        (2, 1, 1, 4, 25596516),  # 1.7e-36
+        (2, 1, 1, 3, 515),  # 1.1e-35
+        (3, 1, 1, 5, 66),  # 4.2e-39
     ])
     def test_rank_short_example_completes_instead_of_exhausting(
         self, s, picks, short, spare_locations, seed
