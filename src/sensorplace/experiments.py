@@ -324,13 +324,7 @@ def run_random_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
             scores = linalg.log_row_volume(rows.reshape(*locs.shape[:2], -1, r))
             for method, row in zip(picks, scores):
                 values[(method, r)].extend(float(v) for v in row if np.isfinite(v))
-    return _aggregate(
-        "random-benchmark",
-        "log_det",
-        cfg,
-        values,
-        time.perf_counter() - start,
-    )
+    return _aggregate("random-benchmark", "log_det", cfg, values, time.perf_counter() - start)
 
 
 def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> ExperimentReport:
@@ -379,13 +373,8 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
             values[(METHOD_FULL_OBSERVATION, r)].append(
                 reconstruction_error(true_amps, basis.modes.T @ y_full)
             )
-    return _aggregate(
-        "reconstruction",
-        "reconstruction_error",
-        cfg,
-        values,
-        time.perf_counter() - start,
-    )
+    return _aggregate("reconstruction", "reconstruction_error", cfg, values,
+                      time.perf_counter() - start)
 
 
 def generate_synthetic_flow(

@@ -9,8 +9,9 @@ scaling, as long as the greedy's Grams stay in range: on Gaussian 20s x 6
 candidates the picks held for scales from 2^-530 to 2^510 at s = 1 and 2 and
 to 2^500 at s = 3 (its ``step_gains``, absolute squared volumes, saturate
 sooner: at s = 2 they are 0.0 at 2^-280 and inf at 2^300).  The greedy
-selectors apply it to residual pivots, and ``_zero_pivots`` to the diagonal of
-R in the QR factorization of ``C^T``, for ``log_row_volume``,
+selectors apply it to residual pivots, and a tenth of it to the smallest
+singular value of each winner's residual rows; ``_zero_pivots`` to the
+diagonal of R in the QR factorization of ``C^T``, for ``log_row_volume``,
 ``log_abs_det`` and the factor each ``evaluate.MeasurementModel`` holds.
 Those two and ``evaluate.score_logdet`` report a singular matrix as ``-inf``.
 """

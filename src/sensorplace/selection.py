@@ -173,7 +173,10 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     A pick downdates the Grams by ``w w^T``, ``w = q^T A_i`` for the winner's
     orthonormalized rows q: one read of the candidate.  Only the winner (for
     q and its gain) and the locations the ``_RECOMPUTE_RATIO`` tests flag are
-    re-formed from their rows.
+    re-formed from their rows.  A winner whose re-formed rows have sigma_min at
+    or below ``r * eps * M``, a tenth of the zero cutoff, is dead (its rows are
+    dependent among themselves, while noise lifts its last pivot over the cut)
+    and the next best is taken.
     """
     stack = np.ascontiguousarray(stack)
     batch, s, r, dof = stack.shape
@@ -185,6 +188,7 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     for g in gram.values():
         np.ldexp(g, 2 * shift, out=g)
     cut = linalg._zero_cutoff(r, max_norm) ** 2
+    dead_cut = np.sqrt(cut[:, 0]) / linalg.RESIDUAL_RTOL  # r * eps * M, on sigma_min of a winner
     piv = np.empty((s, batch, dof))
     cancelled = _ldl_pivots(gram, cut, piv)
     limit = _RECOMPUTE_RATIO * max_norm * np.sqrt(np.maximum(piv, 0.0))
@@ -204,12 +208,17 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
                 g[members, locs] = np.einsum("mi,mi->m", rfac[:, :, j], rfac[:, :, k])
             piv[:, members, locs] = fresh = np.diagonal(rfac, axis1=1, axis2=2).T ** 2
             limit[:, members, locs] = _RECOMPUTE_RATIO * max_norm[members, 0] * np.sqrt(fresh)
-        scores = np.where(alive & (piv > cut).all(axis=0), np.prod(piv, axis=0), 0.0)
-        pick = np.argmax(scores, axis=1)
-        if not (scores[every, pick] > 0.0).all():
-            raise ExhaustionError(f"all remaining locations are degenerate at step {step + 1}",
-                                  step=step + 1)
-        basis, rfac = np.linalg.qr(_residual(stack, q, every, pick))
+        dead = every
+        while dead.size:
+            scores = np.where(alive & (piv > cut).all(axis=0), np.prod(piv, axis=0), 0.0)
+            pick = np.argmax(scores, axis=1)
+            if not (scores[every, pick] > 0.0).all():
+                raise ExhaustionError(f"all remaining locations are degenerate at step {step + 1}",
+                                      step=step + 1)
+            basis, rfac = np.linalg.qr(_residual(stack, q, every, pick))
+            sigma = np.linalg.svd(rfac, compute_uv=False)[:, -1] if s > 1 else np.abs(rfac[:, 0, 0])
+            dead = np.flatnonzero(np.ldexp(sigma, shift[:, 0]) <= dead_cut)
+            alive[dead, pick[dead]] = False
         picks[:, step] = pick
         gains[:, step] = np.prod(np.diagonal(rfac, axis1=1, axis2=2) ** 2, axis=1)
         margins[:, step] = piv[:, every, pick].min(axis=0) / cut[:, 0]

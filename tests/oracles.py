@@ -102,7 +102,9 @@ def explicit_greedy(candidate: np.ndarray, sensors: int, components: int, rtol: 
     transpose.  Each unpicked location's rows are projected twice onto its
     complement and orthogonalized in component order by Gram-Schmidt; the
     score is the product of their squared norms, or 0 once one of them is at
-    or below ``(rtol * r * eps * largest row norm)^2``.  Ties go to the lowest
+    or below ``(rtol * r * eps * largest row norm)^2`` or the smallest singular
+    value of the projected rows is at or below ``r * eps * largest row norm``
+    (the rows are dependent among themselves).  Ties go to the lowest
     index.  Returns ``(locations, gains, step)``, where ``step`` is the 1-based
     step at which every live location scored 0 (the selection stops there),
     or None.
@@ -123,6 +125,8 @@ def explicit_greedy(candidate: np.ndarray, sensors: int, components: int, rtol: 
             x = a[location_rows(loc, dof, components)].T.copy()
             for _ in range(2):
                 x -= basis @ (basis.T @ x)
+            if np.linalg.svd(x, compute_uv=False)[-1] <= cutoff_sq ** 0.5 / rtol:
+                continue
             score = 1.0
             for j in range(components):
                 for i in range(j):

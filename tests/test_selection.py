@@ -406,8 +406,6 @@ class TestRecomputePath:
         assert info.value.step == picks + 1
         assert explicit_greedy(candidate, picks + 1, s, linalg.RESIDUAL_RTOL)[2] == picks + 1
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
-        "FOUND in CHANGES.md: the zero rule misses a dependency inside one location"))
     @pytest.mark.parametrize("s, picks, short, spare_locations, seed", [
         (3, 1, 1, 4, 59351364),  # last step gain 7.5e-39
         (2, 3, 1, 5, 2),  # 5.9e-37
@@ -419,14 +417,34 @@ class TestRecomputePath:
         (2, 1, 1, 3, 515),  # 1.1e-35
         (3, 1, 1, 5, 66),  # 4.2e-39
     ])
-    def test_rank_short_example_completes_instead_of_exhausting(
-        self, s, picks, short, spare_locations, seed
-    ):
-        # Falsifying examples of the property test above: the last step gains
-        # 1e-40 to 1e-36 where fewer than s directions remain.
+    def test_rank_short_example_exhausts(self, s, picks, short, spare_locations, seed):
+        # Former falsifying examples of the property test above: every pivot
+        # clears the zero cutoff and the last step gained 1e-40 to 1e-35 (noted
+        # per row) where fewer than s directions remain, until the sigma_min test.
         candidate = rank_short_candidate(s, picks, short, spare_locations, seed)
-        with pytest.raises(ExhaustionError):
+        with pytest.raises(ExhaustionError) as info:
             select_vector_greedy(candidate, picks + 1, components=s)
+        assert info.value.step == picks + 1
+        assert explicit_greedy(candidate, picks + 1, s, linalg.RESIDUAL_RTOL)[2] == picks + 1
+
+    @pytest.mark.parametrize("units, dead", [(5.0, False), (0.5, True)])
+    def test_dependent_rows_die_at_the_sigma_min_cut(self, units, dead):
+        # Location 0 has rows x and 64x + delta y, so its second pivot is 64
+        # times its sigma_min: at 0.5 units of r * eps * M it clears the pivot
+        # cut (10 units) while the location is dead; at 5 units it lives.
+        # Location 1 is zero.
+        unit = 2 * np.finfo(np.float64).eps * 64.0
+        candidate = np.zeros((4, 2))
+        candidate[0, 0], candidate[2] = 1.0, (64.0, units * unit * np.hypot(1.0, 64.0))
+        sigma = np.linalg.svd(candidate[[0, 2]], compute_uv=False)[-1] / unit
+        assert units / 1.01 < sigma < units * 1.01
+        if dead:
+            with pytest.raises(ExhaustionError) as info:
+                select_vector_greedy(candidate, 1, components=2)
+            assert info.value.step == 1
+        else:
+            assert select_vector_greedy(candidate, 1, components=2).locations == (0,)
+        assert (explicit_greedy(candidate, 1, 2, linalg.RESIDUAL_RTOL)[2] == 1) == dead
 
     @settings(deadline=None, max_examples=60)
     @given(
