@@ -36,13 +36,13 @@ EXIT_MISSING_OPTION = 4
 EXIT_NUMERICAL = 5
 
 # Benchmark config keys and the parser of each value; a parser raises
-# ValueError on a malformed value.
+# ValueError on a malformed value.  Integers are ASCII decimals, as in files.
 _CONFIG_KEYS = {
-    "n_per_component": int,
-    "components": int,
-    "r_values": lambda value: tuple(int(tok) for tok in value.split(",")),
-    "trials": int,
-    "base_seed": int,
+    "n_per_component": fileio._decimal,
+    "components": fileio._decimal,
+    "r_values": lambda value: tuple(map(fileio._decimal, value.split(","))),
+    "trials": fileio._decimal,
+    "base_seed": fileio._decimal,
     "methods": lambda value: tuple(tok.strip() for tok in value.split(",")),
 }
 
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     header.add_argument("--header", action="store_true",
                         help="input files carry one header line to skip")
     components = argparse.ArgumentParser(add_help=False)
-    components.add_argument("-s", "--components", type=int, default=1,
+    components.add_argument("-s", "--components", type=fileio._decimal, default=1,
                             help="number of stacked vector components (default 1)")
 
     p_pod = sub.add_parser("pod", parents=[header, components],
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pod.add_argument("snapshots", help="CSV snapshot matrix (rows: dof, cols: time)")
     p_pod.add_argument("out_modes", help="output CSV for the n x r mode matrix")
     p_pod.add_argument("out_sigma", help="output CSV for the r singular values")
-    p_pod.add_argument("-r", "--rank", type=int, required=True,
+    p_pod.add_argument("-r", "--rank", type=fileio._decimal, required=True,
                        help="number of modes to keep")
     p_pod.add_argument("--no-center", action="store_true",
                        help="skip temporal mean subtraction")
@@ -188,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=METHODS,
                        help="selection strategy (scalar-greedy picks individual "
                        "rows and ignores --components)")
-    p_sel.add_argument("-p", "--count", type=int, required=True,
+    p_sel.add_argument("-p", "--count", type=fileio._decimal, required=True,
                        help="number of sensors to place")
-    p_sel.add_argument("--seed", type=int, default=None,
+    p_sel.add_argument("--seed", type=fileio._decimal, default=None,
                        help="RNG seed (required for the random method)")
     p_sel.set_defaults(func=_cmd_select)
 

@@ -8,7 +8,7 @@ finite double survives a write/read round trip bit-exactly.  Selection files
 carry a fixed header ``rank,location,row_indices`` with one line per sensor in
 selection order; ``row_indices`` is a semicolon-joined list of stacked row
 indices.  Fields are split on commas; CSV quoting is not part of either format.
-Numeric fields are ASCII decimals: ``_`` or a non-ASCII digit is a ``ParseError``.
+Numbers in files and CLI integer options are ASCII decimals (``_decimal``).
 
 ``read_matrix`` first parses the whole file with one ``np.loadtxt`` call and
 keeps the result only when it is non-empty and entirely finite.  Anything else
@@ -60,6 +60,16 @@ def _text_lines(path):
                 raise ParseError("line is not UTF-8 text", line=lineno) from None
             if text := raw.strip():
                 yield lineno, text
+
+
+def _decimal(token: str, kind=int):
+    """``kind(token)`` for an ASCII decimal, whitespace around it allowed; else ``ValueError``."""
+    if "_" in token or not token.strip().isascii():  # int() and float() alone accept both
+        raise ValueError(f"{token!r} is not an ASCII decimal")
+    return kind(token)
+
+
+_decimal.__name__ = "ASCII integer"  # how argparse names the type of a CLI integer option
 
 
 def write_matrix(path, matrix) -> None:
@@ -120,13 +130,10 @@ def _read_matrix_lines(path, header: bool) -> np.ndarray:
         parsed = []
         for colno, token in enumerate(fields, start=1):
             try:
-                if "_" in token or not token.strip().isascii():  # float() alone accepts both
-                    raise ValueError
-                value = float(token)
+                value = _decimal(token, float)
             except ValueError:
-                raise ParseError(
-                    f"field {token!r} is not a number", line=lineno, column=colno
-                ) from None
+                raise ParseError(f"field {token!r} is not a number",
+                                 line=lineno, column=colno) from None
             if not np.isfinite(value):
                 raise ParseError(f"field {token!r} is not finite", line=lineno, column=colno)
             parsed.append(value)
@@ -159,14 +166,10 @@ def read_selection(path) -> list[tuple[int, list[int]]]:
         if len(fields) != 3:
             raise ParseError("expected 3 fields", line=lineno)
         try:
-            if "_" in line or not "".join(line.split()).isascii():  # int() alone accepts both
-                raise ValueError
-            order, location = int(fields[0]), int(fields[1])
-            rows = [int(tok) for tok in fields[2].split(";")]
+            order, location, *rows = map(_decimal, fields[:2] + fields[2].split(";"))
         except ValueError:
-            raise ParseError(
-                "rank, location and row_indices must be integers", line=lineno
-            ) from None
+            raise ParseError("rank, location and row_indices must be integers",
+                             line=lineno) from None
         if order != len(entries) + 1:
             raise ParseError(f"ranks must be consecutive from 1, found {order}", line=lineno)
         if location in entries:

@@ -46,10 +46,6 @@ class SnapshotMatrix:
         return self.data.shape[0]
 
     @property
-    def n_snapshots(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def dof_per_component(self) -> int:
         return self.data.shape[0] // self.components
 

@@ -123,6 +123,27 @@ class TestSelectCommand:
                  "-m", "qr-pivot", "-p", "1"])
         assert info.value.code == 2
 
+    # An Arabic-Indic two, a fullwidth two, an underscore and a fullwidth three.
+    @pytest.mark.parametrize("args, option", [
+        (["select", "-m", "vector-greedy", "-p", "\u0662"], "-p/--count"),
+        (["select", "-m", "vector-greedy", "-p", "2", "-s", "\uff12"], "-s/--components"),
+        (["select", "-m", "random", "-p", "2", "--seed", "1_0"], "--seed"),
+        (["pod", "-r", "\uff13"], "-r/--rank"),
+    ], ids=["count", "components", "seed", "rank"])
+    def test_integer_option_that_is_not_an_ascii_decimal_is_usage_error(
+            self, tmp_path, capsys, args, option):
+        matrix = tmp_path / "matrix.csv"
+        fileio.write_matrix(matrix, np.eye(4))
+        command, *options = args
+        names = ["modes.csv", "sigma.csv"] if command == "pod" else ["sel.csv"]
+        outs = [tmp_path / name for name in names]
+        with pytest.raises(SystemExit) as info:
+            run([command, str(matrix), *map(str, outs), *options])
+        assert info.value.code == 2
+        assert f"argument {option}: invalid ASCII integer value: {options[-1]!r}" in (
+            capsys.readouterr().err)
+        assert not any(out.exists() for out in outs)
+
     @pytest.mark.parametrize("seed, shape, p, s", [
         (5, (16, 4), 2, 2),
         (0, (300, 12), 1, 1),  # a wide budget, s * p < r
@@ -370,7 +391,7 @@ class TestPipelineFidelity:
 class TestBenchmarkCommand:
     def config(self, tmp_path, text):
         path = tmp_path / "bench.cfg"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def test_tiny_run_writes_json_and_csv(self, tmp_path):
@@ -460,6 +481,10 @@ class TestBenchmarkCommand:
         # A '#' after a value is part of the value, not a comment.
         ("trials = 2 # two", "bad config value: invalid literal for int() with base 10: "
                              "'2 # two' (line 3)"),
+        # Integers are ASCII decimals, as in matrix and selection files.
+        ("base_seed = 1_0", "bad config value: '1_0' is not an ASCII decimal (line 2)"),
+        ("trials = \u0663", "bad config value: '\u0663' is not an ASCII decimal (line 3)"),
+        ("r_values = 2,\uff14", "bad config value: '\uff14' is not an ASCII decimal (line 2)"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, line, message):
         key = line.split()[0]

@@ -28,7 +28,6 @@ class TestSnapshotMatrix:
     def test_properties(self):
         snaps = SnapshotMatrix(np.ones((6, 4)), components=2)
         assert snaps.n_dof == 6
-        assert snaps.n_snapshots == 4
         assert snaps.dof_per_component == 3
 
 
