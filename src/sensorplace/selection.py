@@ -232,8 +232,9 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     return picks, gains, margins
 
 
-def _select_greedy(matrix: np.ndarray, sensors: int, s: int, method: str) -> SensorSelection:
-    """``_greedy`` on one candidate (n, r), as its ``SensorSelection``."""
+def _select_greedy(candidate, sensors: int, components, method: str) -> SensorSelection:
+    """``_greedy`` on one candidate (n, r) gated by ``_candidate_array``, as its selection."""
+    matrix, s, sensors = _candidate_array(candidate, sensors, components)
     dof = matrix.shape[0] // s
     picks, gains, margins = _greedy(matrix.reshape(s, dof, -1).transpose(0, 2, 1)[None], sensors)
     return SensorSelection(
@@ -258,8 +259,7 @@ def select_scalar_greedy(candidate, sensors: int) -> SensorSelection:
         Number of rows to select; at most r.
     """
     modes = candidate.modes if isinstance(candidate, PODBasis) else candidate
-    matrix, _, sensors = _candidate_array(modes, sensors, 1)
-    return _select_greedy(matrix, sensors, 1, METHOD_SCALAR_GREEDY)
+    return _select_greedy(modes, sensors, 1, METHOD_SCALAR_GREEDY)
 
 
 def select_vector_greedy(
@@ -283,8 +283,7 @@ def select_vector_greedy(
         Number of locations p to select; requires ``s * p <= r`` and
         ``p <= n/s``.
     """
-    matrix, s, sensors = _candidate_array(candidate, sensors, components)
-    return _select_greedy(matrix, sensors, s, METHOD_VECTOR_GREEDY)
+    return _select_greedy(candidate, sensors, components, METHOD_VECTOR_GREEDY)
 
 
 def select_random(
@@ -388,14 +387,13 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
         gap = float(np.partition(grad, dof - sensors)[dof - sensors:].sum() - grad @ z)
         if gap <= _CONVEX_GAP_TOL or steps == _CONVEX_MAX_ITERS:
             break
-        t, z_new = 1.0, _project_capped_simplex(z + grad, sensors)
-        f_new, chol_new = _relaxation_logdet(matrix, z_new, s, ridge)
-        while f_new < f_curr + _ARMIJO_C * float(grad @ (z_new - z)):
-            t *= _BACKTRACK
-            if t < _MIN_STEP:
-                break
+        t = 1.0
+        while t >= _MIN_STEP:
             z_new = _project_capped_simplex(z + t * grad, sensors)
             f_new, chol_new = _relaxation_logdet(matrix, z_new, s, ridge)
+            if f_new >= f_curr + _ARMIJO_C * float(grad @ (z_new - z)):
+                break
+            t *= _BACKTRACK
         if t < _MIN_STEP:
             break
         z, f_curr, chol = z_new, f_new, chol_new

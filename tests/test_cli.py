@@ -548,6 +548,14 @@ def test_module_entry_point_prints_help_and_exits_0():
     assert out.stdout.startswith("usage: sensorplace")
 
 
+def test_module_entry_point_exits_with_the_status_main_returns(tmp_path):
+    missing, modes, sigma = (str(tmp_path / name) for name in ("missing.csv", "m.csv", "s.csv"))
+    out = python("-m", "sensorplace.cli", "pod", missing, modes, sigma, "-r", "2")
+    assert out.returncode == cli.EXIT_IO == 1
+    assert out.stderr.startswith("sensorplace: error: ")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_loading_the_cli_does_not_import_scipy():
     assert not scipy_loaded_after("import sensorplace.cli")
 

@@ -677,13 +677,32 @@ class TestConvex:
 
         def counted(*args):
             calls.append(args)
-            assert len(calls) <= 50, "the solve went on after its line search stalled"
+            assert len(calls) <= 48, "the solve went on after its line search stalled"
             return logdet(*args)
 
         monkeypatch.setattr(selection, "_relaxation_logdet", counted)
         with pytest.raises(ConvexSolverError, match=r"^duality gap \S+ above tolerance 1\.0e-04 "
                                                     r"after 0 steps, line search stalled$"):
             select_convex(candidate, 3, components=2)
+        # The start, then trial steps t = 1, 1/2, ..., 2**-46; 2**-47 is below 1e-14.
+        assert len(calls) == 48
+
+    @pytest.mark.parametrize("cols, s, evaluations, picks", [
+        (9, 3, 68, (84, 8, 21)),  # square budget s * p = r; its line search backtracks
+        (12, 1, 404, (19,)),  # wide budget s * p < r
+    ])
+    def test_trial_point_sequence_is_pinned(self, monkeypatch, cols, s, evaluations, picks):
+        # Every trial point costs one objective evaluation, the unit step included.
+        logdet, calls = selection._relaxation_logdet, []
+
+        def counted(*args):
+            calls.append(args)
+            return logdet(*args)
+
+        monkeypatch.setattr(selection, "_relaxation_logdet", counted)
+        candidate = np.random.default_rng(0).standard_normal((300, cols))
+        assert select_convex(candidate, s, components=s).locations == picks
+        assert len(calls) == evaluations
 
     def test_tall_orthonormal_candidate_keeps_its_picks(self):
         # A projection whose sum is off by about 1e-12 stalls the line search here.
