@@ -6,10 +6,10 @@ The reduced measurement matrix C gathers the selected rows of the candidate
 amplitude solve, the rank test and ``cond(C)`` all read that one factor,
 under the one zero rule of ``linalg``.
 
-Observation noise is one standard-normal field over the full grid per seed
-(``_noise_field``), gathered at the selected rows, so every selection and
-the full-observation reference of the reconstruction study see the same
-noise at the same location.
+Observation noise is one standard-normal field over the full grid per seed,
+added to the centred field by ``_noisy`` before the selected rows are gathered,
+so every selection and the full-observation reference of the reconstruction
+study see the same noise at the same location.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .pod import PODBasis, SnapshotMatrix, _check_snapshots
+from .pod import PODBasis, SnapshotMatrix, _centered
 from .selection import SensorSelection
 
 __all__ = [
@@ -110,15 +110,11 @@ def observe(
     observing the same location under the same seed see the same noise.  A
     NaN, infinite or negative ``noise_sigma`` raises ``ValueError``.
     """
-    _check_snapshots(basis, field_snapshots)
-    if basis.n_dof != selection.components * selection.dof_per_component:
+    centered = _centered(basis, field_snapshots)
+    if len(centered) != selection.components * selection.dof_per_component:
         raise ValueError("selection does not match basis dimensions")
     _check_noise_sigma(noise_sigma)
-    rows = list(selection.selected_rows)
-    observations = field_snapshots.data[rows] - basis.mean[rows, None]
-    if noise_sigma > 0:
-        observations += noise_sigma * _noise_field(field_snapshots, seed)[rows]
-    return observations
+    return _noisy(centered, noise_sigma, seed)[list(selection.selected_rows)]
 
 
 def _check_noise_sigma(noise_sigma: float) -> None:
@@ -127,9 +123,11 @@ def _check_noise_sigma(noise_sigma: float) -> None:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
-def _noise_field(field_snapshots: SnapshotMatrix, seed: int | None) -> np.ndarray:
-    """The standard-normal noise of ``seed`` over the full snapshot grid."""
-    return linalg._rng(seed).standard_normal(field_snapshots.data.shape)
+def _noisy(centered: np.ndarray, noise_sigma: float, seed: int | None) -> np.ndarray:
+    """``centered`` plus ``noise_sigma`` times the standard-normal field of ``seed``."""
+    if noise_sigma == 0:
+        return centered
+    return centered + noise_sigma * linalg._rng(seed).standard_normal(centered.shape)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import linalg
 from .evaluate import (
-    _check_noise_sigma, _noise_field, build_model, reconstruct, reconstruction_error
+    _check_noise_sigma, _noisy, build_model, reconstruct, reconstruction_error
 )
-from .pod import SnapshotMatrix, compute_pod
+from .pod import SnapshotMatrix, _centered, compute_pod
 from .selection import (
     METHOD_CONVEX,
     METHOD_RANDOM,
@@ -352,7 +352,7 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
     for r in cfg.r_values:
         basis = compute_pod(data, r)
-        centered = data.data - basis.mean[:, None]
+        centered = _centered(basis, data)
         true_amps = basis.modes.T @ centered
         stack = basis.modes.reshape(s, -1, r).transpose(0, 2, 1)[None]
         models = {m: [build_model(basis, SensorSelection(
@@ -360,10 +360,7 @@ def run_reconstruction_study(cfg: ExperimentConfig, data: SnapshotMatrix) -> Exp
         )) for row in locs] for m, locs in _select_chunk(cfg.methods, stack, seeds).items()}
         for trial, trial_seed in enumerate(seeds):
             # Every method and the reference observe this one noisy field.
-            y_full = centered
-            if cfg.noise_sigma > 0:
-                noise_seed = _stream_seed(trial_seed, _NOISE_STREAM, r)
-                y_full = centered + cfg.noise_sigma * _noise_field(data, noise_seed)
+            y_full = _noisy(centered, cfg.noise_sigma, _stream_seed(trial_seed, _NOISE_STREAM, r))
             for method in cfg.methods:
                 model = models[method][trial % len(models[method])]
                 result = reconstruct(model, y_full[list(model.selection.selected_rows)])

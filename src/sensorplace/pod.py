@@ -42,10 +42,6 @@ class SnapshotMatrix:
         object.__setattr__(self, "components", _stacked_components(len(self.data), self.components))
 
     @property
-    def n_dof(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def dof_per_component(self) -> int:
         return self.data.shape[0] // self.components
 
@@ -88,10 +84,6 @@ class PODBasis:
                 raise ValueError("mean contains non-finite entries")
             object.__setattr__(self, "mean", mean)
 
-    @property
-    def n_dof(self) -> int:
-        return self.modes.shape[0]
-
 
 def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PODBasis:
     """Truncated POD of a snapshot matrix.
@@ -121,13 +113,13 @@ def compute_pod(snapshots: SnapshotMatrix, rank: int, center: bool = True) -> PO
     )
 
 
-def _check_snapshots(basis: PODBasis, snapshots: SnapshotMatrix) -> None:
-    """Reject snapshots on another grid or with another component count than ``basis``."""
-    if snapshots.n_dof != basis.n_dof or snapshots.components != basis.components:
-        raise ValueError(
-            f"snapshots ({snapshots.n_dof} dof, {snapshots.components} components) do not "
-            f"match basis ({basis.n_dof} dof, {basis.components} components)"
-        )
+def _centered(basis: PODBasis, snapshots: SnapshotMatrix) -> np.ndarray:
+    """``snapshots`` minus ``basis.mean``; another grid or component count raises."""
+    n, m = len(snapshots.data), len(basis.modes)
+    if (n, snapshots.components) != (m, basis.components):
+        raise ValueError(f"snapshots ({n} dof, {snapshots.components} components) do not "
+                         f"match basis ({m} dof, {basis.components} components)")
+    return snapshots.data - basis.mean[:, None]
 
 
 def mode_amplitudes(basis: PODBasis, snapshots: SnapshotMatrix) -> np.ndarray:
@@ -136,5 +128,4 @@ def mode_amplitudes(basis: PODBasis, snapshots: SnapshotMatrix) -> np.ndarray:
     Returns the r x N amplitude matrix whose column ``t`` holds the true mode
     amplitudes of snapshot ``t``.
     """
-    _check_snapshots(basis, snapshots)
-    return basis.modes.T @ (snapshots.data - basis.mean[:, None])
+    return basis.modes.T @ _centered(basis, snapshots)

@@ -375,8 +375,9 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
     n, r = matrix.shape
     dof = n // s
     trace_scale = float(np.einsum("ij,ij->", matrix, matrix)) / r
-    if trace_scale <= 0.0:
-        raise ValueError("candidate matrix is identically zero")
+    if not 0.0 < trace_scale < np.inf:
+        raise ValueError(f"candidate matrix has squared norm per mode {trace_scale}; "
+                         "the convex ridge needs it finite and above 0")
     ridge = 1e-9 * trace_scale * np.eye(r)
 
     z = np.full(dof, sensors / dof)

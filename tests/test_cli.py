@@ -161,6 +161,15 @@ class TestSelectCommand:
             for k, loc in enumerate(expected.locations)
         ]
 
+    def test_convex_on_an_overflowing_candidate_exits_3(self, tmp_path, capsys):
+        modes = tmp_path / "modes.csv"
+        candidate = np.ldexp(np.random.default_rng(0).standard_normal((300, 9)), 507)
+        fileio.write_matrix(modes, candidate)
+        out = tmp_path / "sel.csv"
+        assert run(["select", str(modes), str(out), "-m", "convex", "-p", "3", "-s", "3"]) == 3
+        assert "squared norm per mode inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_non_convergence_exits_5(self, tmp_path, monkeypatch, capsys):
         def stalled(*args, **kwargs):
             raise ConvexSolverError("projected gradient did not converge")

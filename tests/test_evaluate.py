@@ -14,8 +14,11 @@ from sensorplace.evaluate import (
     reconstruction_error,
     score_logdet,
 )
+from sensorplace.experiments import generate_synthetic_flow
 from sensorplace.pod import PODBasis, SnapshotMatrix, compute_pod, mode_amplitudes
-from sensorplace.selection import SensorSelection, select_scalar_greedy, select_vector_greedy
+from sensorplace.selection import (
+    SensorSelection, select_random, select_scalar_greedy, select_vector_greedy
+)
 
 from oracles import det_cofactor
 
@@ -194,12 +197,29 @@ class TestObserve:
         c = observe(basis, narrow, snaps, noise_sigma=0.1, seed=7)
         # the shared location sees identical noise under both selections
         np.testing.assert_array_equal(a[[2, 3]], c)
-        # gathering before centering gives the bytes of the centered full grid
+        # the observation is the centred full-grid field plus noise, gathered at the rows
         rows = list(wide.selected_rows)
         centered = (snaps.data - basis.mean[:, None])[rows]
         noise = np.random.default_rng(7).standard_normal(snaps.data.shape)[rows]
         assert np.array_equal(observe(basis, wide, snaps), centered)
         assert np.array_equal(a, centered + 0.1 * noise)
+
+    @pytest.mark.parametrize("method", ["vector-greedy", "scalar-greedy", "random"])
+    def test_observation_is_the_gathered_noisy_centred_field_bit_for_bit(self, method):
+        snaps = generate_synthetic_flow(30, 2, true_rank=6, n_snapshots=25, seed=74,
+                                        noise_sigma=0.01)
+        basis = compute_pod(snaps, 6)
+        sel = {"vector-greedy": lambda: select_vector_greedy(basis, 3, components=2),
+               "scalar-greedy": lambda: select_scalar_greedy(basis, 6),
+               "random": lambda: select_random(30, 3, seed=75, components=2)}[method]()
+        rows = list(sel.selected_rows)
+        centred = snaps.data - basis.mean[:, None]
+        assert np.array_equal(observe(basis, sel, snaps, noise_sigma=0.0, seed=None),
+                              centred[rows])
+        for sigma, seed in [(0.05, 7), (1e-3, 2**63 + 1), (0.05, 2**63 + 1), (1e-3, 0)]:
+            noise = np.random.default_rng(seed).standard_normal(snaps.data.shape)
+            assert np.array_equal(observe(basis, sel, snaps, noise_sigma=sigma, seed=seed),
+                                  (centred + sigma * noise)[rows])
 
     def test_snapshots_of_another_size_rejected(self):
         basis, _, _ = tiny_basis(72)

@@ -710,6 +710,19 @@ class TestConvex:
         assert select_convex(q, 10, components=2).locations == (
             461, 842, 284, 934, 245, 465, 755, 142, 991, 129)
 
+    @pytest.mark.parametrize("exponent", [506, -520])
+    def test_scaled_candidate_keeps_its_picks(self, exponent):
+        # At 2**506 the Frobenius norm squared is just finite; at 2**-520 it is subnormal.
+        candidate = np.ldexp(np.random.default_rng(0).standard_normal((300, 9)), exponent)
+        assert select_convex(candidate, 3, components=3).locations == (84, 8, 21)
+
+    @pytest.mark.parametrize("exponent", [507, 511])
+    def test_candidate_whose_squared_norm_overflows_raises(self, exponent):
+        # The ridge would be inf times the identity, NaN off its diagonal.
+        candidate = np.ldexp(np.random.default_rng(0).standard_normal((300, 9)), exponent)
+        with pytest.raises(ValueError, match=r"^candidate matrix has squared norm per mode inf;"):
+            select_convex(candidate, 3, components=3)
+
     @settings(deadline=None, max_examples=200)
     @given(
         n=st.integers(1, 300),
@@ -790,5 +803,5 @@ class TestConvex:
         assert peak < 4 * candidate.nbytes
 
     def test_zero_candidate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^candidate matrix has squared norm per mode 0\.0;"):
             select_convex(np.zeros((6, 2)), 1, components=2)
