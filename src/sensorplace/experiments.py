@@ -220,25 +220,11 @@ def _aggregate(
         else:
             mean = float(np.mean(vals))
             std = float(np.std(vals, ddof=1))
-        cells.append(
-            ReportCell(
-                method=method,
-                r=r,
-                p=r // cfg.components,
-                mean=mean,
-                std=std,
-                trials=used,
-                skipped=cfg.trials - used,
-            )
-        )
-    return ExperimentReport(
-        study=study,
-        metric=metric,
-        cells=tuple(cells),
-        base_seed=cfg.base_seed,
-        configured_trials=cfg.trials,
-        wall_time_seconds=elapsed,
-    )
+        cells.append(ReportCell(method=method, r=r, p=r // cfg.components, mean=mean, std=std,
+                                trials=used, skipped=cfg.trials - used))
+    return ExperimentReport(study=study, metric=metric, base_seed=cfg.base_seed,
+                            configured_trials=cfg.trials, cells=tuple(cells),
+                            wall_time_seconds=elapsed)
 
 
 def _select_chunk(

@@ -1,19 +1,17 @@
 """Dense linear-algebra kernels shared by the placement and reconstruction code.
 
 Everything operates on ``numpy.float64`` arrays; ``log_row_volume`` also
-takes a stack of matrices.  One zero rule decides singularity everywhere: a
+takes a stack of matrices.  One scale rule holds where a matrix enters:
+``np.ldexp`` by minus its ``_exponent`` brings its largest ``|entry|`` into
+[0.5, 1) exactly, so no squared norm formed after it leaves the double range.
+The selectors read each candidate so, and ``_zero_pivots`` each C, so picks
+and singularity do not depend on scale.  One zero rule decides singularity: a
 residual norm at or below ``_zero_cutoff``, ``RESIDUAL_RTOL * r * eps`` times
-the largest row norm, counts as zero.  It is scale-relative, so orthonormal
-mode matrices and raw Gaussian candidate matrices behave identically under
-scaling, as long as the greedy's Grams stay in range: on Gaussian 20s x 6
-candidates the picks held for scales from 2^-530 to 2^510 at s = 1 and 2 and
-to 2^500 at s = 3 (its ``step_gains``, absolute squared volumes, saturate
-sooner: at s = 2 they are 0.0 at 2^-280 and inf at 2^300).  The greedy
-selectors apply it to residual pivots, and a tenth of it to the smallest
-singular value of each winner's residual rows; ``_zero_pivots`` to the
-diagonal of R in the QR factorization of ``C^T``, for ``log_row_volume``,
-``log_abs_det`` and the factor each ``evaluate.MeasurementModel`` holds.
-Those two and ``evaluate.score_logdet`` report a singular matrix as ``-inf``.
+the largest row norm, counts as zero.  The greedy selectors apply it to
+residual pivots, and a tenth of it to the smallest singular value of each
+winner's residual rows; ``_zero_pivots`` to the diagonal of R of ``C^T = Q R``
+for ``log_row_volume``, ``log_abs_det`` and ``evaluate.MeasurementModel``,
+which with ``evaluate.score_logdet`` report a singular matrix as ``-inf``.
 """
 
 from __future__ import annotations
@@ -104,10 +102,17 @@ def _zero_cutoff(r: int, max_norm):
     return RESIDUAL_RTOL * r * np.finfo(np.float64).eps * max_norm
 
 
+def _exponent(a: np.ndarray, axis=None):
+    """The binary exponent e with max|a| in [2^(e-1), 2^e) over ``axis``; 0 for all zeros."""
+    return np.frexp(np.abs(a).max(axis=axis))[1]
+
+
 def _zero_pivots(c: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """The zero rule: which ``|R_kk|`` of ``C^T = Q R`` count as zero, per matrix."""
-    max_norm = np.sqrt(np.einsum("...ij,...ij->...i", c, c).max(axis=-1))
-    return diag <= _zero_cutoff(c.shape[-1], max_norm)[..., None]
+    """The zero rule: which ``|R_kk|`` of ``C^T = Q R`` are zero, per C scaled by ``_exponent``."""
+    e = _exponent(c, axis=(-2, -1))[..., None]
+    a = np.ldexp(c, -e[..., None])
+    max_norm = np.sqrt(np.einsum("...ij,...ij->...i", a, a).max(axis=-1, keepdims=True))
+    return np.ldexp(diag, -e) <= _zero_cutoff(c.shape[-1], max_norm)
 
 
 def _log_volume(diag: np.ndarray, zero: np.ndarray) -> np.ndarray:

@@ -65,8 +65,8 @@ class SensorSelection:
     ``selected_rows`` lists, per location in selection order, the s stacked
     rows ``loc + dof_per_component * j`` for components ``j = 0..s-1``.
     ``step_gains`` (greedy only) are the squared volumes each pick added, in
-    absolute units: at s = 2 they saturate to 0.0 at 2^-280 and inf at 2^300
-    while the picks hold (to 2^-530 and 2^510).  ``step_margins`` are each
+    absolute units, so they saturate to 0.0 or inf where a double cannot hold
+    them, while the picks hold at every scale.  ``step_margins`` are each
     winner's smallest pivot over the zero cutoff (both squared norms).
     ``relaxation_objective`` (convex only) is half of ``ln det`` of the ridged
     relaxation, certified within 5e-5 of its optimum; at a 0/1 weight vector
@@ -103,11 +103,9 @@ class SensorSelection:
         )
 
 
-def _candidate_array(candidate, sensors, components) -> tuple[np.ndarray, int, int]:
-    """The stacked matrix, s and p of a PODBasis or raw candidate, after the budget checks.
-
-    Requires n divisible by s, ``p >= 1``, ``s * p <= r`` and ``p <= n/s``.
-    """
+def _candidate_array(candidate, sensors, components) -> tuple[np.ndarray, int, int, int]:
+    """``np.ldexp(matrix, -e)``, s, p and e = ``linalg._exponent(matrix)`` of a PODBasis or raw
+    stacked candidate, after the budget checks: n divisible by s, p >= 1, s*p <= r, p <= n/s."""
     if isinstance(candidate, PODBasis):
         matrix, s = candidate.modes, candidate.components
         if components is not None and linalg.as_count(components, "components") != s:
@@ -121,7 +119,8 @@ def _candidate_array(candidate, sensors, components) -> tuple[np.ndarray, int, i
         raise ValueError(f"budget violates s*p <= r: s={s}, p={p}, r={r}")
     if p > n // s:
         raise ValueError(f"cannot select {p} of {n // s} locations")
-    return matrix, s, p
+    e = linalg._exponent(matrix)
+    return np.ldexp(matrix, -e), s, p, int(e)
 
 
 # Re-form a downdated pivot once it falls to sqrt(eps) * M * sqrt(its last explicit value),
@@ -166,10 +165,10 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
     live location.  A location scores the squared volume its s rows add to
     the picked rows, the product of the LDL^T pivots of its residual Gram in
     component order (Saito et al., arXiv:1911.08757).  Grams, pivots and
-    scores are kept scaled by the exact power of two that brings each
-    member's largest row norm into [0.5, 1), so scores neither underflow nor
-    overflow (by ``np.ldexp``: the factor itself, ``2.0**(2 * shift)``,
-    overflows for tiny candidates); the gains come from the unscaled rows.
+    scores are shifted by ``np.ldexp`` to bring each member's largest row norm
+    into [0.5, 1), so products of s pivots neither underflow nor overflow; the
+    Grams are formed before the shift (``_candidate_array`` hands one candidate
+    in normalised) and the gains come from the rows as given.
     A pick downdates the Grams by ``w w^T``, ``w = q^T A_i`` for the winner's
     orthonormalized rows q: one read of the candidate.  Only the winner (for
     q and its gain) and the locations the ``_RECOMPUTE_RATIO`` tests flag are
@@ -234,12 +233,13 @@ def _greedy(stack: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray, np
 
 def _select_greedy(candidate, sensors: int, components, method: str) -> SensorSelection:
     """``_greedy`` on one candidate (n, r) gated by ``_candidate_array``, as its selection."""
-    matrix, s, sensors = _candidate_array(candidate, sensors, components)
+    matrix, s, sensors, e = _candidate_array(candidate, sensors, components)
     dof = matrix.shape[0] // s
     picks, gains, margins = _greedy(matrix.reshape(s, dof, -1).transpose(0, 2, 1)[None], sensors)
     return SensorSelection(
         locations=picks[0].tolist(), components=s, dof_per_component=dof, method=method,
-        step_gains=tuple(gains[0].tolist()), step_margins=tuple(margins[0].tolist()),
+        step_gains=tuple(np.ldexp(gains[0], 2 * s * e).tolist()),
+        step_margins=tuple(margins[0].tolist()),
     )
 
 
@@ -371,13 +371,12 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
         If the gap is above 1e-4 after 2000 steps, or at once when a step's backtracking
         falls below 1e-14.
     """
-    matrix, s, sensors = _candidate_array(candidate, sensors, components)
+    matrix, s, sensors, e = _candidate_array(candidate, sensors, components)
     n, r = matrix.shape
     dof = n // s
     trace_scale = float(np.einsum("ij,ij->", matrix, matrix)) / r
-    if not 0.0 < trace_scale < np.inf:
-        raise ValueError(f"candidate matrix has squared norm per mode {trace_scale}; "
-                         "the convex ridge needs it finite and above 0")
+    if trace_scale == 0.0:  # the largest |entry| is 0 or in [0.5, 1)
+        raise ValueError("candidate matrix has squared norm per mode 0.0; the ridge scales with it")
     ridge = 1e-9 * trace_scale * np.eye(r)
 
     z = np.full(dof, sensors / dof)
@@ -409,5 +408,5 @@ def select_convex(candidate, sensors: int, components: int | None = None) -> Sen
         components=s,
         dof_per_component=dof,
         method=METHOD_CONVEX,
-        relaxation_objective=0.5 * f_curr,
+        relaxation_objective=0.5 * f_curr + r * e * np.log(2.0),
     )

@@ -161,14 +161,13 @@ class TestSelectCommand:
             for k, loc in enumerate(expected.locations)
         ]
 
-    def test_convex_on_an_overflowing_candidate_exits_3(self, tmp_path, capsys):
+    def test_convex_on_a_candidate_whose_squared_norm_overflows_exits_0(self, tmp_path):
         modes = tmp_path / "modes.csv"
         candidate = np.ldexp(np.random.default_rng(0).standard_normal((300, 9)), 507)
         fileio.write_matrix(modes, candidate)
         out = tmp_path / "sel.csv"
-        assert run(["select", str(modes), str(out), "-m", "convex", "-p", "3", "-s", "3"]) == 3
-        assert "squared norm per mode inf" in capsys.readouterr().err
-        assert not out.exists()
+        assert run(["select", str(modes), str(out), "-m", "convex", "-p", "3", "-s", "3"]) == 0
+        assert [loc for loc, _ in fileio.read_selection(out)] == [84, 8, 21]
 
     def test_solver_non_convergence_exits_5(self, tmp_path, monkeypatch, capsys):
         def stalled(*args, **kwargs):

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorplace import build_model, linalg, score_logdet, selection
+from sensorplace import build_model, linalg, reconstruct, score_logdet, selection
 from sensorplace.pod import PODBasis
 from sensorplace.selection import (
     ConvexSolverError,
@@ -568,6 +568,16 @@ class TestBatchedKernel:
             assert not view.flags.c_contiguous
             assert [a.tobytes() for a in _greedy(view, 3)] == expected
 
+    def test_members_scaled_far_apart_keep_their_picks_and_margins(self):
+        # The kernel's own power-of-two shift per member keeps each one's scores in range:
+        # unshifted, the products of three squared pivots underflow at 2**-200.
+        stack = np.random.default_rng(0).standard_normal((3, 3, 9, 20))
+        scaled = np.ldexp(stack, np.array([-200, 0, 150])[:, None, None, None])
+        picks, _, margins = _greedy(stack, 3)
+        scaled_picks, _, scaled_margins = _greedy(scaled, 3)
+        np.testing.assert_array_equal(scaled_picks, picks)
+        np.testing.assert_array_equal(scaled_margins, margins)
+
     def test_read_only_candidate_is_left_unchanged(self):
         candidate = np.random.default_rng(55).standard_normal((2 * 30, 8))
         candidate.flags.writeable = False
@@ -710,18 +720,18 @@ class TestConvex:
         assert select_convex(q, 10, components=2).locations == (
             461, 842, 284, 934, 245, 465, 755, 142, 991, 129)
 
-    @pytest.mark.parametrize("exponent", [506, -520])
+    @pytest.mark.parametrize("exponent", [506, -520, 507, 511])
     def test_scaled_candidate_keeps_its_picks(self, exponent):
-        # At 2**506 the Frobenius norm squared is just finite; at 2**-520 it is subnormal.
+        # Unnormalised, the Frobenius norm squared is just finite at 2**506, subnormal at
+        # 2**-520, and inf from 2**507, which made the ridge inf times the identity.
         candidate = np.ldexp(np.random.default_rng(0).standard_normal((300, 9)), exponent)
         assert select_convex(candidate, 3, components=3).locations == (84, 8, 21)
 
-    @pytest.mark.parametrize("exponent", [507, 511])
-    def test_candidate_whose_squared_norm_overflows_raises(self, exponent):
-        # The ridge would be inf times the identity, NaN off its diagonal.
-        candidate = np.ldexp(np.random.default_rng(0).standard_normal((300, 9)), exponent)
-        with pytest.raises(ValueError, match=r"^candidate matrix has squared norm per mode inf;"):
-            select_convex(candidate, 3, components=3)
+    def test_tiny_candidate_keeps_its_picks(self):
+        # Unnormalised, this candidate stalled the line search after 34 steps.
+        candidate = np.random.default_rng(0).standard_normal((60, 6))
+        assert select_convex(candidate, 3, components=2).locations == (6, 9, 15)
+        assert select_convex(candidate * 1e-160, 3, components=2).locations == (6, 9, 15)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -805,3 +815,25 @@ class TestConvex:
     def test_zero_candidate_rejected(self):
         with pytest.raises(ValueError, match=r"^candidate matrix has squared norm per mode 0\.0;"):
             select_convex(np.zeros((6, 2)), 1, components=2)
+
+
+@pytest.mark.parametrize("select", [
+    pytest.param(lambda a: select_vector_greedy(a, 3, components=3), id="vector-greedy"),
+    pytest.param(lambda a: select_scalar_greedy(a, 9), id="scalar-greedy"),
+    pytest.param(lambda a: select_convex(a, 3, components=3), id="convex"),
+])
+def test_every_exponent_keeps_the_picks_and_shifts_the_score(select):
+    # np.ldexp scales exactly, so across the whole exponent range of a double only a
+    # squared norm that leaves that range could move a pick or the zero rule.
+    base = np.random.default_rng(0).standard_normal((300, 9))
+    sel = select(base)
+    score = score_logdet(build_model(base, sel))
+    for k in range(-1020, 1021, 5):
+        candidate = np.ldexp(base, k)
+        with np.errstate(over="ignore"):  # at s = 3 step_gains saturate to inf from 2^169
+            scaled = select(candidate)
+        assert scaled.locations == sel.locations, k
+        model = build_model(candidate, scaled)
+        expected = score + 9 * k * np.log(2.0)
+        assert abs(score_logdet(model) - expected) <= 1e-14 * abs(expected), k
+        assert not reconstruct(model, model.c @ np.ones((9, 1))).rank_deficient, k
